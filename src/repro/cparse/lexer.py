@@ -1,5 +1,18 @@
 """Tokenizer for the C-with-OpenMP subset used by the corpus.
 
+The scanner is one compiled regular expression with a named group per token
+shape (whitespace, identifier, number, comment, directive, literal,
+punctuator) and a one-character catch-all.  :func:`tokenize` walks its
+matches in order and derives line and column from newline offsets as it goes.
+Every failure is a :class:`LexError` that carries the line and column where
+the offending token starts: an unterminated string, character literal or
+block comment, an empty or unsupported preprocessor directive, or a character
+that starts no token.  Numbers are ASCII ``[0-9]`` only; identifiers start
+with a letter (``str.isalpha``) or ``_`` and continue with ``str.isalnum``
+or ``_``.  The grammar is deliberately small (no trigraphs, line
+continuations only inside directives, no preprocessor beyond ``#include``
+and ``#pragma``) because the corpus generator controls the input.
+
 The lexer tracks 1-based line and column numbers for every token so that the
 analyses built on top of the parser (access extraction, variable-pair ground
 truth, dynamic instrumentation) can report source locations in the same
@@ -13,14 +26,15 @@ line numbers (paper §3.1, the ``trimmed_code`` field).
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
-__all__ = ["TokenKind", "Token", "LexError", "Lexer", "tokenize"]
+__all__ = ["TokenKind", "Token", "LexError", "tokenize"]
 
 
 class TokenKind(enum.Enum):
-    """Lexical categories produced by :class:`Lexer`."""
+    """Lexical categories produced by :func:`tokenize`."""
 
     IDENT = "ident"
     KEYWORD = "keyword"
@@ -148,7 +162,11 @@ class Token:
 
 
 class LexError(ValueError):
-    """Raised when the lexer encounters a character it cannot tokenize."""
+    """Raised for input the lexer cannot tokenize.
+
+    ``line`` and ``col`` (1-based) locate the start of the offending token;
+    the message ends with ``at line:col``.
+    """
 
     def __init__(self, message: str, line: int, col: int) -> None:
         super().__init__(f"{message} at {line}:{col}")
@@ -156,191 +174,87 @@ class LexError(ValueError):
         self.col = col
 
 
-class Lexer:
-    """Hand-rolled scanner over a source string.
+_DIRECTIVE_COMMENTS = ("define", "ifdef", "ifndef", "endif", "else")
 
-    The scanner is deliberately simple (no trigraphs, no line continuations
-    except inside pragmas, no preprocessor beyond ``#include`` and
-    ``#pragma``) because the corpus generator controls the input grammar.
-    """
+#: The whole scanner: one alternative per token shape, tried in order at each
+#: offset.  ``\w`` is exactly ``str.isalnum()`` or ``_``.  ``re`` has no class
+#: for ``str.isalpha``, so ``UIDENT`` takes any other word character that is
+#: not a decimal digit and :func:`_rare_token` rejects a non-letter start
+#: (``²``, ``½``).  ``OPEN_COMMENT`` and ``OTHER`` (any single character the
+#: rest reject, such as an unterminated quote) are error paths.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<SPACE>[ \t\r]+)
+    |(?P<NEWLINE>\n[ \t\r]*)
+    |(?P<IDENT>[A-Za-z_]\w*)
+    |(?P<UIDENT>[^\W\d_]\w*)
+    |(?P<FLOAT>
+        (?:[0-9]+\.[0-9]+|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fFlLuU]*
+        |[0-9]+[eE][+-]?[0-9]+[fFlLuU]*
+        |[0-9]+[lLuU]*[fF][fFlLuU]*)
+    |(?P<INT>[0-9]+[lLuU]*)
+    |(?P<COMMENT>//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
+    |(?P<OPEN_COMMENT>/\*)
+    |(?P<DIRECTIVE>\#(?:[^\\\n]|\\\n?)*)
+    |(?P<STRING>"[^"\\]*(?:\\[\s\S][^"\\]*)*")
+    |(?P<CHAR>'[^'\\]*(?:\\[\s\S][^'\\]*)*')
+    |(?P<PUNCT>"""
+    + "|".join(re.escape(p) for p in _PUNCTUATORS)
+    + r""")
+    |(?P<OTHER>[\s\S])
+    """,
+    re.VERBOSE,
+)
 
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+_PUNCT = TokenKind.PUNCT
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_INT = TokenKind.INT_LIT
+_COMMENT = TokenKind.COMMENT
 
-    # -- low-level cursor helpers -------------------------------------------------
+_KIND_OF_GROUP = {
+    "FLOAT": TokenKind.FLOAT_LIT,
+    "COMMENT": _COMMENT,
+    "STRING": TokenKind.STRING_LIT,
+    "CHAR": TokenKind.CHAR_LIT,
+}
 
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        if idx >= len(self.source):
-            return ""
-        return self.source[idx]
+# The hot loop fills a token's fields itself, as the frozen dataclass's
+# generated ``__init__`` would, without that call's frame; the instances are
+# identical.
+_new_token = object.__new__
+_set_field = object.__setattr__
 
-    def _advance(self, count: int = 1) -> str:
-        """Consume ``count`` characters, maintaining line/column bookkeeping."""
-        consumed = self.source[self.pos : self.pos + count]
-        for ch in consumed:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += len(consumed)
-        return consumed
 
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.source)
-
-    # -- token scanners -----------------------------------------------------------
-
-    def _scan_identifier(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+def _rare_token(group: str, text: str, line: int, col: int) -> Token:
+    """Token, or ``LexError``, for a group the hot loop does not build itself."""
+    kind = _KIND_OF_GROUP.get(group)
+    if kind is not None:
         return Token(kind, text, line, col)
-
-    def _scan_number(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        is_float = False
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() and self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        # Suffixes (f, L, u, ll ...) are consumed but kept in the token text.
-        # Note: _peek() returns "" at end of input, which must not match.
-        while self._peek() and self._peek() in "fFlLuU":
-            is_float = is_float or self._peek() in "fF"
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-        return Token(kind, text, line, col)
-
-    def _scan_string(self, quote: str) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        self._advance()  # opening quote
-        while not self._at_end() and self._peek() != quote:
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self._at_end():
-            raise LexError("unterminated string literal", line, col)
-        self._advance()  # closing quote
-        text = self.source[start : self.pos]
-        kind = TokenKind.STRING_LIT if quote == '"' else TokenKind.CHAR_LIT
-        return Token(kind, text, line, col)
-
-    def _scan_line_comment(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        while not self._at_end() and self._peek() != "\n":
-            self._advance()
-        return Token(TokenKind.COMMENT, self.source[start : self.pos], line, col)
-
-    def _scan_block_comment(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        self._advance(2)  # consume /*
-        while not self._at_end() and not (self._peek() == "*" and self._peek(1) == "/"):
-            self._advance()
-        if self._at_end():
-            raise LexError("unterminated block comment", line, col)
-        self._advance(2)  # consume */
-        return Token(TokenKind.COMMENT, self.source[start : self.pos], line, col)
-
-    def _scan_directive(self) -> Token:
-        """Scan ``#include`` and ``#pragma`` lines (with ``\\`` continuations)."""
-        line, col = self.line, self.col
-        start = self.pos
-        self._advance()  # consume '#'
-        while not self._at_end() and self._peek() != "\n":
-            if self._peek() == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-                continue
-            self._advance()
-        text = self.source[start : self.pos]
+    if group == "DIRECTIVE":
         body = text[1:].strip()
         if body.startswith("pragma"):
-            directive = body[len("pragma") :].strip()
-            return Token(TokenKind.PRAGMA, directive, line, col)
+            return Token(TokenKind.PRAGMA, body[len("pragma") :].strip(), line, col)
         if body.startswith("include"):
             return Token(TokenKind.INCLUDE, body, line, col)
-        if body.startswith("define") or body.startswith("ifdef") or body.startswith(
-            "ifndef"
-        ) or body.startswith("endif") or body.startswith("else"):
-            # Treat other preprocessor lines as comments: the analyses ignore
-            # them but the trimming pipeline keeps their line positions.
-            return Token(TokenKind.COMMENT, text, line, col)
+        if body.startswith(_DIRECTIVE_COMMENTS):
+            # The analyses ignore other preprocessor lines, but the trimming
+            # pipeline keeps their line positions, so they lex as comments.
+            return Token(_COMMENT, text, line, col)
+        if not body:
+            raise LexError("empty preprocessor directive", line, col)
         raise LexError(f"unsupported preprocessor directive {body.split()[0]!r}", line, col)
-
-    # -- public API ---------------------------------------------------------------
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token in the source, ending with a single EOF token."""
-        while not self._at_end():
-            ch = self._peek()
-            if ch in " \t\r":
-                self._advance()
-                continue
-            if ch == "\n":
-                self._advance()
-                continue
-            if ch == "#":
-                yield self._scan_directive()
-                continue
-            if ch == "/" and self._peek(1) == "/":
-                yield self._scan_line_comment()
-                continue
-            if ch == "/" and self._peek(1) == "*":
-                yield self._scan_block_comment()
-                continue
-            if ch.isalpha() or ch == "_":
-                yield self._scan_identifier()
-                continue
-            if ch.isdigit():
-                yield self._scan_number()
-                continue
-            if ch == "." and self._peek(1).isdigit():
-                yield self._scan_number()
-                continue
-            if ch in "\"'":
-                yield self._scan_string(ch)
-                continue
-            matched = False
-            for punct in _PUNCTUATORS:
-                if self.source.startswith(punct, self.pos):
-                    line, col = self.line, self.col
-                    self._advance(len(punct))
-                    yield Token(TokenKind.PUNCT, punct, line, col)
-                    matched = True
-                    break
-            if matched:
-                continue
-            raise LexError(f"unexpected character {ch!r}", self.line, self.col)
-        yield Token(TokenKind.EOF, "", self.line, self.col)
+    if group == "UIDENT" and text[0].isalpha():
+        return Token(_IDENT, text, line, col)
+    if group == "OPEN_COMMENT":
+        raise LexError("unterminated block comment", line, col)
+    if text in ('"', "'"):
+        raise LexError("unterminated string literal", line, col)
+    raise LexError(f"unexpected character {text[0]!r}", line, col)
 
 
 def tokenize(source: str, *, keep_comments: bool = False) -> List[Token]:
-    """Tokenize ``source`` into a list of tokens.
+    """Tokenize ``source`` into a list of tokens ending with one EOF token.
 
     Parameters
     ----------
@@ -350,8 +264,50 @@ def tokenize(source: str, *, keep_comments: bool = False) -> List[Token]:
         When ``False`` (the default) comment tokens are dropped, which is what
         the parser wants.  The DRB-ML trimming pipeline passes ``True`` so it
         can locate comments precisely.
+
+    Raises
+    ------
+    LexError
+        On an unterminated string, character literal or block comment, an
+        empty or unsupported preprocessor directive, or a character that
+        starts no token.
     """
-    toks = list(Lexer(source).tokens())
-    if keep_comments:
-        return toks
-    return [t for t in toks if t.kind is not TokenKind.COMMENT]
+    tokens: List[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        if group == "SPACE":
+            continue
+        start = m.start()
+        if group == "NEWLINE":
+            line += 1
+            line_start = start + 1
+            continue
+        text = m.group()
+        col = start - line_start + 1
+        if group == "PUNCT":
+            kind = _PUNCT
+        elif group == "IDENT":
+            kind = _KEYWORD if text in KEYWORDS else _IDENT
+        elif group == "INT":
+            kind = _INT
+        else:
+            token = _rare_token(group, text, line, col)
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+            if token.kind is _COMMENT and not keep_comments:
+                continue
+            append(token)
+            continue
+        token = _new_token(Token)
+        _set_field(token, "kind", kind)
+        _set_field(token, "text", text)
+        _set_field(token, "line", line)
+        _set_field(token, "col", col)
+        append(token)
+    append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
+    return tokens

@@ -1,0 +1,15 @@
+"""Hypothesis profiles for the C front-end suite.
+
+The default profile keeps tier-1 fast.  ``REPRO_HYPOTHESIS_PROFILE=ci``
+selects a larger example budget for the dedicated front-end CI step.
+"""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=3000, deadline=None)
+
+_profile = os.environ.get("REPRO_HYPOTHESIS_PROFILE")
+if _profile:
+    settings.load_profile(_profile)

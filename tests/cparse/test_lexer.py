@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.analysis import StaticRaceDetector
 from repro.cparse.lexer import LexError, Token, TokenKind, tokenize
+from repro.cparse.parser import ParseError
 
 
 def kinds(tokens):
@@ -84,6 +86,49 @@ class TestDirectivesAndComments:
     def test_unterminated_string_raises(self):
         with pytest.raises(LexError):
             tokenize('"open')
+
+
+class TestErrorContract:
+    """Every front-end failure is a ``LexError`` with a location, never an
+    untyped exception from inside the scanner."""
+
+    @pytest.mark.parametrize(
+        "source, line, col", [("#\nint x;", 1, 1), ("int x;\n  #   \nint y;", 2, 3)]
+    )
+    def test_bare_hash_line_raises_lex_error(self, source, line, col):
+        with pytest.raises(LexError, match="empty preprocessor directive") as info:
+            tokenize(source)
+        assert (info.value.line, info.value.col) == (line, col)
+
+    def test_bare_hash_line_through_the_analyzer(self):
+        with pytest.raises(LexError):
+            StaticRaceDetector().analyze_source("#\nint main() { return 0; }")
+
+    # Superscript two, vulgar half, Arabic-Indic three.
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u00bd", "\u0663"])
+    def test_non_ascii_digit_is_an_unexpected_character(self, digit):
+        with pytest.raises(LexError, match="unexpected character") as info:
+            tokenize(f"int x = {digit};")
+        assert (info.value.line, info.value.col) == (1, 9)
+
+    def test_non_ascii_digit_through_the_analyzer(self):
+        with pytest.raises(LexError):
+            StaticRaceDetector().analyze_source("int main() { int x = \u00b2; return x; }")
+
+    def test_non_ascii_digit_does_not_extend_an_exponent(self):
+        toks = tokenize("x = 1E\u00b2;")
+        assert [(t.kind, t.text) for t in toks[2:4]] == [
+            (TokenKind.INT_LIT, "1"),
+            (TokenKind.IDENT, "E\u00b2"),
+        ]
+        with pytest.raises(ParseError):
+            StaticRaceDetector().analyze_source("int main() { double x = 1E\u00b2; return 0; }")
+
+    def test_unicode_identifiers_keep_their_rule(self):
+        # Start: str.isalpha() or "_"; continue: str.isalnum() or "_".
+        toks = tokenize("\u00e92 = \u00df\u00b2 + x\u0663;")
+        idents = [t.text for t in toks if t.kind is TokenKind.IDENT]
+        assert idents == ["\u00e92", "\u00df\u00b2", "x\u0663"]
 
 
 class TestLocations:
