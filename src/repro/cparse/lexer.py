@@ -18,9 +18,10 @@ analyses built on top of the parser (access extraction, variable-pair ground
 truth, dynamic instrumentation) can report source locations in the same
 ``line:col`` convention DataRaceBench uses in its header comments.
 
-Comments are tokenized (not discarded) because the DRB-ML pipeline needs to
-scrape labels out of block comments and later strip them while re-mapping
-line numbers (paper §3.1, the ``trimmed_code`` field).
+Comments are tokens, dropped unless ``keep_comments`` is set.  The comment
+trimmer behind DRB-ML's ``trimmed_code`` (paper §3.1) does not lex: it scans
+with the comment, directive and literal patterns below and calls
+:func:`tokenize` only to validate a source it cannot vouch for.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ KEYWORDS = frozenset(
 )
 
 #: Multi-character punctuators, longest first so greedy matching is correct.
-_PUNCTUATORS = (
+PUNCTUATORS = (
     "<<=",
     ">>=",
     "...",
@@ -174,7 +175,16 @@ class LexError(ValueError):
         self.col = col
 
 
-_DIRECTIVE_COMMENTS = ("define", "ifdef", "ifndef", "endif", "else")
+#: Directives the analyses ignore; they lex as COMMENT tokens.
+DIRECTIVE_COMMENTS = ("define", "ifdef", "ifndef", "endif", "else")
+
+#: The token shapes that may contain ``/``, ``"``, ``'`` or ``#``.  The
+#: comment trimmer (``dataset/trim.py``) builds its span scanner from these
+#: same strings, so both find the same comments, directives and literals.
+COMMENT_PATTERN = r"//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
+DIRECTIVE_PATTERN = r"\#(?:[^\\\n]|\\\n?)*"
+STRING_PATTERN = r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"'
+CHAR_PATTERN = r"'[^'\\]*(?:\\[\s\S][^'\\]*)*'"
 
 #: The whole scanner: one alternative per token shape, tried in order at each
 #: offset.  ``\w`` is exactly ``str.isalnum()`` or ``_``.  ``re`` has no class
@@ -183,7 +193,7 @@ _DIRECTIVE_COMMENTS = ("define", "ifdef", "ifndef", "endif", "else")
 #: (``²``, ``½``).  ``OPEN_COMMENT`` and ``OTHER`` (any single character the
 #: rest reject, such as an unterminated quote) are error paths.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<SPACE>[ \t\r]+)
     |(?P<NEWLINE>\n[ \t\r]*)
     |(?P<IDENT>[A-Za-z_]\w*)
@@ -193,14 +203,12 @@ _TOKEN_RE = re.compile(
         |[0-9]+[eE][+-]?[0-9]+[fFlLuU]*
         |[0-9]+[lLuU]*[fF][fFlLuU]*)
     |(?P<INT>[0-9]+[lLuU]*)
-    |(?P<COMMENT>//[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
+    |(?P<COMMENT>{COMMENT_PATTERN})
     |(?P<OPEN_COMMENT>/\*)
-    |(?P<DIRECTIVE>\#(?:[^\\\n]|\\\n?)*)
-    |(?P<STRING>"[^"\\]*(?:\\[\s\S][^"\\]*)*")
-    |(?P<CHAR>'[^'\\]*(?:\\[\s\S][^'\\]*)*')
-    |(?P<PUNCT>"""
-    + "|".join(re.escape(p) for p in _PUNCTUATORS)
-    + r""")
+    |(?P<DIRECTIVE>{DIRECTIVE_PATTERN})
+    |(?P<STRING>{STRING_PATTERN})
+    |(?P<CHAR>{CHAR_PATTERN})
+    |(?P<PUNCT>{"|".join(re.escape(p) for p in PUNCTUATORS)})
     |(?P<OTHER>[\s\S])
     """,
     re.VERBOSE,
@@ -237,7 +245,7 @@ def _rare_token(group: str, text: str, line: int, col: int) -> Token:
             return Token(TokenKind.PRAGMA, body[len("pragma") :].strip(), line, col)
         if body.startswith("include"):
             return Token(TokenKind.INCLUDE, body, line, col)
-        if body.startswith(_DIRECTIVE_COMMENTS):
+        if body.startswith(DIRECTIVE_COMMENTS):
             # The analyses ignore other preprocessor lines, but the trimming
             # pipeline keeps their line positions, so they lex as comments.
             return Token(_COMMENT, text, line, col)

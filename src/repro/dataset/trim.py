@@ -6,14 +6,19 @@ with every comment removed; the ``var_pairs`` line numbers refer to the
 without comments").  Because the ground truth of the corpus is recorded
 against the original (commented) source, the trimming pass must also return a
 mapping from original line numbers to trimmed line numbers.
+
+Lines are split on ``\\n`` alone, the lexer's line model, so original line
+numbers are ``Token.line`` numbers.  :func:`trim_comments` raises the lexer's
+``LexError`` exactly when :func:`tokenize` does, and raises nothing else.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.cparse.lexer import TokenKind, tokenize
+from repro.cparse import lexer
 
 __all__ = ["TrimResult", "trim_comments"]
 
@@ -40,45 +45,40 @@ class TrimResult:
         return self.line_map.get(original_line)
 
 
-def _blank_out_comments(source: str) -> List[str]:
-    """Return source lines with comment characters replaced by spaces.
+#: Plain runs (ASCII that only whitespace, identifiers, numbers and punctuators
+#: other than ``/`` use, so any run of it lexes), ``/``, literals, comments and
+#: directives in the lexer's own shapes.  ``SUSPECT`` is non-ASCII, a stray
+#: ``\\``, or the start of an unterminated literal or block comment.
+_SPAN_RE = re.compile(
+    "[A-Za-z0-9_ \t\r\n%s]+" % re.escape("".join(sorted(set("".join(lexer.PUNCTUATORS)) - {"/"})))
+    + rf"|/(?![*/])|{lexer.STRING_PATTERN}|{lexer.CHAR_PATTERN}|(?P<COMMENT>{lexer.COMMENT_PATTERN})"
+    + rf"|(?P<DIRECTIVE>{lexer.DIRECTIVE_PATTERN})|(?P<SUSPECT>[\s\S])"
+)
 
-    Replacing (rather than deleting) keeps column numbers of the remaining
-    code identical to the original file, which is what lets the ground-truth
-    columns carry over unchanged to the trimmed code.
-    """
-    lines = [list(line) for line in source.splitlines()]
-    for token in tokenize(source, keep_comments=True):
-        if token.kind is not TokenKind.COMMENT:
+
+def _blank_out_comments(source: str) -> List[str]:
+    """Source lines with comments and ignored directives replaced by spaces, which
+    keeps the remaining code's columns, so ground-truth columns carry over."""
+    pieces: List[str] = []
+    done, suspect = 0, False  # end of the last span copied; lex to validate?
+    for m in _SPAN_RE.finditer(source):
+        group = m.lastgroup
+        if group is None:
             continue
-        text = token.text
-        row, col = token.line - 1, token.col - 1
-        for ch in text:
-            if ch == "\n":
-                row += 1
-                col = 0
-                continue
-            if row < len(lines) and col < len(lines[row]):
-                lines[row][col] = " "
-            col += 1
-    return ["".join(chars) for chars in lines]
+        text = m.group()
+        if group == "COMMENT" or text[1:].strip().startswith(lexer.DIRECTIVE_COMMENTS):
+            pieces += source[done : m.start()], "\n".join(" " * len(s) for s in text.split("\n"))
+            done = m.end()
+        elif not text[1:].strip().startswith(("pragma", "include")):
+            suspect = True  # a SUSPECT character (no body) or a rejected directive
+    if suspect:  # the lexer raises, or accepts the source: then these are its comments
+        lexer.tokenize(source, keep_comments=True)
+    return ("".join(pieces) + source[done:]).split("\n")
 
 
 def trim_comments(source: str) -> TrimResult:
     """Remove comments and blank-only lines, tracking the line re-mapping."""
-    blanked = _blank_out_comments(source)
-    out_lines: List[str] = []
-    line_map: Dict[int, int] = {}
-    for original_idx, text in enumerate(blanked, start=1):
-        if text.strip() == "":
-            # Drop lines that are empty after comment removal *and* were
-            # comment-only or blank in the original; keep intentional blank
-            # lines only if they were blank originally?  DRB-ML drops them
-            # too, so we drop every blank line for a compact trimmed_code.
-            continue
-        out_lines.append(text.rstrip())
-        line_map[original_idx] = len(out_lines)
-    trimmed = "\n".join(out_lines)
-    if trimmed:
-        trimmed += "\n"
-    return TrimResult(trimmed_code=trimmed, line_map=line_map)
+    lines = [line.rstrip() for line in _blank_out_comments(source)]
+    kept = [number for number, line in enumerate(lines, start=1) if line]
+    trimmed = "".join(lines[number - 1] + "\n" for number in kept)
+    return TrimResult(trimmed, {number: new for new, number in enumerate(kept, start=1)})

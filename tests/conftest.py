@@ -1,7 +1,9 @@
-"""Hypothesis profiles for the C front-end suite.
+"""Hypothesis profiles for the test suite.
 
 The default profile keeps tier-1 fast.  ``REPRO_HYPOTHESIS_PROFILE=ci``
-selects a larger example budget for the dedicated front-end CI step.
+selects a larger example budget for the dedicated front-end CI step (the
+C front end in ``tests/cparse`` and the comment trimmer's differential
+test in ``tests/dataset``).
 """
 
 import os

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.corpus import CorpusConfig, build_corpus
+from repro.cparse.lexer import tokenize
 from repro.dataset import (
     DRBMLDataset,
     StratifiedKFold,
@@ -48,6 +49,33 @@ class TestTrim:
         src = "int a;\n  a = 1; /* c */\n"
         result = trim_comments(src)
         assert result.trimmed_code.splitlines()[1].startswith("  a = 1;")
+
+    # ``str.splitlines`` breaks lines at these; the lexer only at ``\n``.
+    _SEPARATORS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("sep", _SEPARATORS)
+    def test_separator_inside_comment_is_not_a_line_break(self, sep):
+        result = trim_comments(f"/* a{sep}b */\nint x;\n")
+        assert result.trimmed_code == "int x;\n"
+        assert result.line_map == {2: 1}
+
+    @pytest.mark.parametrize("sep", _SEPARATORS)
+    def test_separator_inside_string_keeps_comment_position(self, sep):
+        result = trim_comments(f'char *s = "a{sep}b"; /* secret */\nint x; // tail\n')
+        assert result.trimmed_code == f'char *s = "a{sep}b";\nint x;\n'
+        assert result.line_map == {1: 1, 2: 2}
+
+    def test_carriage_return_is_not_a_line_break(self):
+        result = trim_comments("int a;\r/* secret */\nint b; // tail\r\n")
+        assert result.trimmed_code == "int a;\nint b;\n"
+        assert result.line_map == {1: 1, 2: 2}
+
+    def test_line_map_numbers_lines_as_the_lexer_does(self):
+        src = 'char *s = "\u2028"; /* c */ int a;\rint b;\n/* \x85 */\nint c;\n'
+        result = trim_comments(src)
+        lines = result.trimmed_code.split("\n")
+        for tok in tokenize(src)[:-1]:
+            assert lines[result.line_map[tok.line] - 1][tok.col - 1 :].startswith(tok.text)
 
     @given(st.text(alphabet="abc ;\n", max_size=100))
     def test_trimmed_never_longer(self, text):

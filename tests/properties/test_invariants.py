@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.dependence import SubscriptForm, may_overlap
-from repro.dataset.tokenizer import CodeTokenizer
+from repro.dataset.tokenizer import CodeTokenizer, count_tokens
 from repro.dataset.trim import trim_comments
 from repro.eval.metrics import ConfusionCounts, mean_std
 from repro.llm.behavior import deterministic_uniform
@@ -74,6 +74,16 @@ class TestTokenizerProperties:
     def test_count_equals_tokenize_length(self, text):
         tok = CodeTokenizer()
         assert tok.count(text) == len(tok.tokenize(text))
+
+    @given(
+        st.one_of(
+            st.text(alphabet="abcxyz_0123456789.+/;é \n", max_size=300),
+            st.text(max_size=120),
+        )
+    )
+    @settings(max_examples=60)
+    def test_count_tokens_equals_default_tokenize_length(self, text):
+        assert count_tokens(text) == len(CodeTokenizer().tokenize(text))
 
     @given(st.text(alphabet="abcxyz_ ;\n", max_size=120))
     @settings(max_examples=60)
