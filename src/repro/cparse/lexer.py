@@ -175,6 +175,9 @@ class LexError(ValueError):
         self.col = col
 
 
+#: Directives the lexer keeps as PRAGMA and INCLUDE tokens.
+KEPT_DIRECTIVES = ("pragma", "include")
+
 #: Directives the analyses ignore; they lex as COMMENT tokens.
 DIRECTIVE_COMMENTS = ("define", "ifdef", "ifndef", "endif", "else")
 
@@ -241,9 +244,9 @@ def _rare_token(group: str, text: str, line: int, col: int) -> Token:
         return Token(kind, text, line, col)
     if group == "DIRECTIVE":
         body = text[1:].strip()
-        if body.startswith("pragma"):
-            return Token(TokenKind.PRAGMA, body[len("pragma") :].strip(), line, col)
-        if body.startswith("include"):
+        if body.startswith(KEPT_DIRECTIVES):
+            if body.startswith("pragma"):
+                return Token(TokenKind.PRAGMA, body[len("pragma") :].strip(), line, col)
             return Token(TokenKind.INCLUDE, body, line, col)
         if body.startswith(DIRECTIVE_COMMENTS):
             # The analyses ignore other preprocessor lines, but the trimming
@@ -270,8 +273,8 @@ def tokenize(source: str, *, keep_comments: bool = False) -> List[Token]:
         C source text.
     keep_comments:
         When ``False`` (the default) comment tokens are dropped, which is what
-        the parser wants.  The DRB-ML trimming pipeline passes ``True`` so it
-        can locate comments precisely.
+        the parser wants.  ``True`` keeps the COMMENT tokens, including the
+        ignored directives of :data:`DIRECTIVE_COMMENTS`.
 
     Raises
     ------

@@ -69,7 +69,7 @@ def _blank_out_comments(source: str) -> List[str]:
         if group == "COMMENT" or text[1:].strip().startswith(lexer.DIRECTIVE_COMMENTS):
             pieces += source[done : m.start()], "\n".join(" " * len(s) for s in text.split("\n"))
             done = m.end()
-        elif not text[1:].strip().startswith(("pragma", "include")):
+        elif not text[1:].strip().startswith(lexer.KEPT_DIRECTIVES):
             suspect = True  # a SUSPECT character (no body) or a rejected directive
     if suspect:  # the lexer raises, or accepts the source: then these are its comments
         lexer.tokenize(source, keep_comments=True)

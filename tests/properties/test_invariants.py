@@ -69,10 +69,10 @@ class TestTrimProperties:
 
 
 class TestTokenizerProperties:
-    @given(st.text(alphabet="abcxyz_[]()+-*/;= \n0123456789", max_size=300))
+    @given(st.text(alphabet="abcxyz_[]()+-*/;= \n0123456789", max_size=300), st.integers(1, 12))
     @settings(max_examples=60)
-    def test_count_equals_tokenize_length(self, text):
-        tok = CodeTokenizer()
+    def test_count_equals_tokenize_length(self, text, max_piece_len):
+        tok = CodeTokenizer(max_piece_len)
         assert tok.count(text) == len(tok.tokenize(text))
 
     @given(
