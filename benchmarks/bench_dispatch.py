@@ -1,24 +1,22 @@
-"""Dispatch-mode throughput — dynamic completion-order + LPT vs. ordered map.
+"""Scheduling throughput — LPT + adaptive chunks vs. plan-order static chunks.
 
 The engine's workload is embarrassingly parallel but *heterogeneous*: a
 slow model's chunks cost an order of magnitude more wall time than a fast
-model's.  The reference dispatch path (``dispatch="ordered"``, no LPT, no
-adaptive sizing) chunks every group to the same static ``batch_size`` and
-submits them in plan order — so when the slow model happens to sit at the
-end of the plan (exactly where the expensive fine-tuned ADVANCED groups
-land in the paper's table order), its big chunks start last and the whole
-run drains down to a handful of straggler workers while the rest idle.
+model's.  The reference schedule (``lpt=False, adaptive_batching=False``)
+chunks every group to the same static ``batch_size`` and submits them in
+plan order — so when the slow model happens to sit at the end of the plan
+(exactly where the expensive fine-tuned ADVANCED groups land in the
+paper's table order), its big chunks start last and the whole run drains
+down to a handful of straggler workers while the rest idle.
 
-The tuned path measured here stacks the three scheduler features this
-repo's cost model enables:
+The tuned path measured here stacks the two scheduler features this
+repo's cost model enables, both on the same completion-order loop:
 
 * **LPT ordering** — chunks dispatched longest-processing-time first, so
   the slow group starts at t=0 and the cheap chunks pack into the gaps;
 * **adaptive chunk sizing** — the slow group is split into smaller chunks
   (finer scheduling granularity, no long indivisible tail), fast groups
-  into larger ones;
-* **dynamic dispatch** — results merge in completion order through
-  ``map_unordered`` instead of blocking behind an order-preserving map.
+  into larger ones.
 
 The cost model is primed by one untimed run over the same requests (the
 production equivalent: the persisted ``costmodel.json`` of any earlier
@@ -72,13 +70,12 @@ def _fingerprint(store):
     return [(r.model, r.strategy, r.record_name, r.response) for r in store]
 
 
-def _measure(records, *, dispatch, lpt, adaptive, cost_model):
+def _measure(records, *, lpt, adaptive, cost_model):
     """Fresh engine and models per measurement; returns (fingerprint, s)."""
     requests = _build_requests(records)
     with ExecutionEngine(
         jobs=JOBS,
         batch_size=BATCH_SIZE,
-        dispatch=dispatch,
         lpt=lpt,
         adaptive_batching=adaptive,
         cost_model=cost_model,
@@ -94,16 +91,14 @@ def test_dynamic_lpt_vs_ordered_static_map(benchmark, subset):
     # Prime the cost model the way a real deployment would be primed: by a
     # previous run's observed latencies (persisted as costmodel.json).
     cost_model = CostModel()
-    _measure(records, dispatch="dynamic", lpt=False, adaptive=False, cost_model=cost_model)
+    _measure(records, lpt=False, adaptive=False, cost_model=cost_model)
 
     ordered_results, ordered_s = _measure(
-        records, dispatch="ordered", lpt=False, adaptive=False, cost_model=CostModel()
+        records, lpt=False, adaptive=False, cost_model=CostModel()
     )
     dynamic_results, dynamic_s = run_once(
         benchmark,
-        lambda: _measure(
-            records, dispatch="dynamic", lpt=True, adaptive=True, cost_model=cost_model
-        ),
+        lambda: _measure(records, lpt=True, adaptive=True, cost_model=cost_model),
     )
 
     n_requests = len(ordered_results)
@@ -128,12 +123,13 @@ def test_dynamic_lpt_vs_ordered_static_map(benchmark, subset):
     RESULT_PATH.write_text(json.dumps(payload, indent=2), encoding="utf-8")
     print()
     print(
-        f"dispatch: ordered static map {ordered_s * 1000:.0f}ms, "
-        f"dynamic+LPT+adaptive {dynamic_s * 1000:.0f}ms ({speedup:.1f}x)"
+        f"dispatch: plan-order static chunks {ordered_s * 1000:.0f}ms, "
+        f"LPT+adaptive {dynamic_s * 1000:.0f}ms ({speedup:.1f}x)"
     )
 
     # Pure scheduling refactor: identical responses either way.
     assert dynamic_results == ordered_results
     assert speedup >= MIN_SPEEDUP, (
-        f"dynamic+LPT must be >= {MIN_SPEEDUP}x ordered static map, got {speedup:.2f}x"
+        f"LPT+adaptive must be >= {MIN_SPEEDUP}x plan-order static chunks, "
+        f"got {speedup:.2f}x"
     )

@@ -24,7 +24,6 @@ Usage::
     python -m repro all --cache /tmp/repro-cache    # persist responses as
                                       # append-only JSONL segments; legacy
                                       # single-file JSON caches still load
-    python -m repro all --dispatch ordered      # reference blocking-map path
     python -m repro all --no-lpt                # keep plan-order chunk dispatch
     python -m repro all --cache ./cache-dir --shared-cache
                                       # serve disk hits through the host-wide
@@ -74,12 +73,12 @@ of them to :func:`repro.engine.scheduler.run_all_tables`, which interleaves
 the mixed-model request batches into a single
 :class:`~repro.engine.core.ExecutionEngine` run — model latency overlaps
 across tables instead of the drivers running one after another.  Chunks
-are dispatched in completion order by default (``--dispatch dynamic``) and
-ordered longest-first by the cost model (``--lpt``); with ``--cache`` the
+are merged in completion order and ordered longest-first by the cost model
+(``--lpt``); with ``--cache`` the
 cost model persists as ``costmodel.json`` inside the cache directory, so
 the next invocation schedules its *first* run with measured latencies.
 Results are bit-identical to the sequential path and across every
-dispatch/executor combination.  After the run the engine prints one stats
+scheduling/executor combination.  After the run the engine prints one stats
 line (request count, cache hit rate, wall time) plus the slowest
 (model, strategy) groups, unless ``--no-stats`` is given; per-table lines
 appear under ``--sequential``.
@@ -99,7 +98,6 @@ from repro.engine import (
     DEFAULT_ESCALATE_BELOW,
     DEFAULT_RETRY_BASE_MS,
     DEFAULT_STREAM_WINDOW,
-    DISPATCH_MODES,
     CascadePolicy,
     CostModel,
     ExecutionEngine,
@@ -252,7 +250,6 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
         executor_kind=args.executor,
         cache=cache,
         batch_size=args.batch_size,
-        dispatch=args.dispatch,
         lpt=args.lpt,
         adaptive_batching=args.adaptive_batching,
         cost_model=cost_model,
@@ -337,9 +334,9 @@ def main(argv: List[str] | None = None) -> int:
             "'repro table3 --executor process' shards CPU-bound work across "
             "processes; 'repro all --cache ./cache-dir' persists responses as "
             "append-only JSONL segments plus the scheduling cost model; "
-            "'repro all --dispatch ordered --no-lpt --no-adaptive-batching' "
-            "selects the reference blocking-map, plan-order, static-chunk "
-            "path (identical results, more straggler wall time)."
+            "'repro all --no-lpt --no-adaptive-batching' selects the "
+            "plan-order, static-chunk reference schedule (identical "
+            "results, more straggler wall time)."
         ),
     )
     parser.add_argument(
@@ -380,17 +377,6 @@ def main(argv: List[str] | None = None) -> int:
             "latency), process (shards CPU-bound work across processes), "
             "async (asyncio event loop).  Results are identical across "
             "backends (default: derived from --jobs)"
-        ),
-    )
-    parser.add_argument(
-        "--dispatch",
-        choices=list(DISPATCH_MODES),
-        default="dynamic",
-        help=(
-            "chunk dispatch mode: dynamic (default) merges chunks in "
-            "completion order so no worker waits behind a straggler at the "
-            "merge barrier; ordered is the reference blocking-map path.  "
-            "Results are identical either way"
         ),
     )
     parser.add_argument(

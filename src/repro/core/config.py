@@ -39,11 +39,6 @@ class PipelineConfig:
         the historical ``jobs`` semantics (serial when 1, thread pool
         otherwise).  Results are identical across backends; only wall
         time changes.
-    dispatch:
-        Chunk dispatch mode: ``"dynamic"`` (default) merges chunks in
-        completion order via the executor's ``map_unordered``;
-        ``"ordered"`` is the reference blocking-``map`` path.  Results
-        are identical either way.
     lpt:
         Dispatch chunks longest-processing-time first using the engine's
         cost model (falls back to plan order until latencies have been
@@ -164,7 +159,6 @@ class PipelineConfig:
     fold_seed: int = 7
     jobs: int = 1
     executor: Optional[str] = None
-    dispatch: str = "dynamic"
     lpt: bool = True
     adaptive_batching: bool = True
     batch_size: int = 32

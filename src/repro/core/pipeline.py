@@ -142,7 +142,6 @@ class DataRacePipeline:
                 executor_kind=self.config.executor,
                 cache=cache,
                 batch_size=self.config.batch_size,
-                dispatch=self.config.dispatch,
                 lpt=self.config.lpt,
                 adaptive_batching=self.config.adaptive_batching,
                 cost_model=cost_model,

@@ -12,14 +12,14 @@ Module map
     :class:`ExecutionEngine` — accepts batches of
     :class:`DetectionRequest`, chunks them per (model, strategy) with
     cost-model-driven sizes and LPT (longest-processing-time-first) order,
-    dispatches the chunks over an executor (``dispatch="dynamic"`` merges
-    them in completion order, ``"ordered"`` through blocking ``map``),
-    satisfies repeats from the cache, and returns an order-preserving
-    :class:`RunResultStore`.  Also offers a generic ``map`` for non-LLM
+    dispatches the chunks through one completion-order loop on the
+    executor's ``submit_stream`` seam (retry, circuit breakers and
+    speculation are policies of that loop), satisfies repeats from the
+    cache, and returns an order-preserving :class:`RunResultStore`.  Also offers a generic ``map`` for non-LLM
     work (the Inspector baseline).  For distributed executors it ships
     picklable chunk payloads to a module-level worker — the cache snapshot
-    is broadcast once per run via a temp file, not pickled per chunk — and
-    merges cache/telemetry deltas back.
+    is broadcast once per run, not pickled per chunk — and merges
+    cache/telemetry deltas back.
 ``cascade``
     :class:`CascadeRouter` / :class:`CascadePolicy` — the tiered detection
     cascade (``--cascade``): records are scored through an ordered ladder
@@ -61,8 +61,8 @@ Module map
     CPU-bound work across processes) and :class:`AsyncExecutor` (a
     persistent asyncio loop — the seam for real async API adapters).  A
     backend implements order-preserving ``map(fn, items)``, ``submit`` and
-    completion-order ``map_unordered`` (streams ``(index, result)`` pairs
-    as work finishes) plus ``close()``; register a factory with
+    completion-order ``submit_stream`` (tagged futures drained as work
+    settles) plus ``close()``; register a factory with
     :func:`register_executor` to make it selectable via ``--executor``.
 ``scheduler``
     The cross-table run scheduler: :class:`TablePlan` (a table's requests
@@ -112,7 +112,6 @@ from repro.engine.cascade import (
 from repro.engine.coalesce import MicroBatchCoalescer
 from repro.engine.core import (
     DEFAULT_STREAM_WINDOW,
-    DISPATCH_MODES,
     ExecutionEngine,
     resolve_engine,
 )
@@ -190,7 +189,6 @@ __all__ = [
     "CascadeTier",
     "build_tier_model",
     "DEFAULT_STREAM_WINDOW",
-    "DISPATCH_MODES",
     "ExecutionEngine",
     "resolve_engine",
     "MicroBatchCoalescer",

@@ -11,7 +11,7 @@ so a full escalation is behaviourally identical to an LLM-only run.
 
 Composition, not reimplementation: the router re-emits each tier's
 requests through the engine's existing ``_execute_plain`` seam, so LPT
-ordering, adaptive chunk sizing, dynamic/speculative dispatch, the
+ordering, adaptive chunk sizing, the dispatch loop's policies, the
 coalescer, the response cache and streaming windows all apply per tier
 unchanged.  Tier adapters are ordinary :class:`~repro.llm.base.LanguageModel`
 objects (``repro.llm.adapters``) with their own ``cache_identity`` keys,
@@ -134,10 +134,9 @@ class CascadePolicy:
         the most capable cheap tier.  Tier 0 has nothing cheaper — ``None``
         keeps speculation same-backend there.
         """
-        identity = getattr(model, "cache_identity", None) or getattr(model, "name", None)
+        identity = model.cache_identity
         for position, tier in enumerate(self.tiers):
-            tier_identity = getattr(tier.model, "cache_identity", tier.model.name)
-            if tier_identity == identity:
+            if tier.model.cache_identity == identity:
                 return self.tiers[position - 1].model if position > 0 else None
         return self.tiers[-1].model
 

@@ -9,22 +9,22 @@ call a language model.  Given a sequence of
    per group by the cost model (smaller chunks for slow models, larger for
    fast/cached ones) and ordered longest-processing-time first (LPT) so
    expensive groups never become a straggler tail;
-2. dispatches the chunks over the configured executor (serial, thread
-   pool, process pool or async — see :mod:`repro.engine.executors`) in one
-   of two modes: ``"ordered"`` uses the blocking order-preserving ``map``,
-   ``"dynamic"`` (the default) streams ``(index, result)`` pairs through
-   ``map_unordered`` and merges each chunk the moment it completes.  On an
-   **async-native** executor (``native_async``, the ``AsyncExecutor``) the
-   chunk work item is a coroutine: model I/O is awaited on the event loop
-   under the executor's ``max_inflight`` semaphore, and a micro-batch
-   coalescer (:mod:`repro.engine.coalesce`) merges concurrent same-(model,
-   strategy) misses into single ``generate_batch_async`` wire calls;
+2. dispatches the chunks through **one completion-order loop**
+   (:meth:`ExecutionEngine._dispatch`) on the executor's ``submit_stream``
+   seam (serial, thread pool, process pool or async — see
+   :mod:`repro.engine.executors`), keeping at most ``executor.capacity``
+   chunk copies in flight and merging each chunk the moment it completes.
+   On an **async-native** executor (``native_async``, the
+   ``AsyncExecutor``) the chunk work item is a coroutine: model I/O is
+   awaited on the event loop under the executor's ``max_inflight``
+   semaphore, and a micro-batch coalescer (:mod:`repro.engine.coalesce`)
+   merges concurrent same-(model, strategy) misses into single
+   ``generate_batch_async`` wire calls;
 3. inside a chunk, renders all prompts via
    :func:`~repro.prompting.chains.run_strategy_batch`, satisfies what it can
    from the response cache and sends only the misses to the model's
    ``generate_batch``;
 4. scores each response (:func:`~repro.engine.requests.score_response`) and
-   reassembles the results in the original request order — dynamic dispatch
    writes each scored chunk straight into its slots of the result store, so
    completion order never leaks into output order.
 
@@ -33,46 +33,48 @@ Every chunk's elapsed time is fed back into the engine's
 telemetry groups, so a long-lived engine schedules its *next* run with
 measured latencies.
 
-**Tail-latency control** builds on dynamic dispatch and the cost model:
-with ``speculate=True`` the dispatcher (:meth:`_dispatch_speculative`)
-watches in-flight chunks against the cost model's p95 per-chunk estimate
-and races a duplicate of any straggler into idle capacity — first
-completion wins, the loser is cancelled or its result dropped, and only
-the winner feeds results, cache and telemetry, so output stays
-bit-identical.  With ``deadline=SECONDS`` the planner
-(:meth:`_plan_deadline`) sheds the lowest-value chunks when the predicted
-makespan exceeds the budget; shed requests surface as explicit ``skipped``
-results, never silently.
+The dispatch loop folds three policies into the same pass:
+
+* **retry** (``retries``, see :mod:`repro.engine.faults`) — budget 0 is
+  fail-fast: the first chunk error re-raises and every outstanding copy
+  is cancelled.  A larger budget re-enters a failed chunk after a
+  deterministic exponential backoff instead of cancelling unrelated
+  work; exhausted budgets surface as explicit ``RunResult(failed=True)``
+  entries in position, so the run completes with partial results;
+* **circuit breakers** — a pre-submit hook: a chunk whose model's
+  breaker is open routes to the cascade's next-cheaper tier (when a
+  :class:`~repro.engine.cascade.CascadePolicy` is configured) or fails
+  explicitly without a model call;
+* **speculation** (``speculate``) — a chunk that overshoots the cost
+  model's p95 per-chunk estimate is duplicated into idle capacity
+  (optionally onto a cheaper fallback model).  The first copy to succeed
+  wins and is merged exactly once; a failed copy defers to a sibling
+  still running, and only the last copy's failure reaches the retry
+  policy.
+
+Every submitted copy carries the chunk it actually executes, so results,
+cache entries, telemetry and cost observations are attributed to the
+model that answered, while the ``journal`` checkpoint keys on the original
+requests so an interrupted run resumes skipping completed work.  With
+``deadline=SECONDS`` the planner (:meth:`ExecutionEngine._plan_deadline`)
+sheds the lowest-value chunks when the predicted makespan exceeds the
+budget; shed requests surface as explicit ``skipped`` results.  Confusion
+counts exclude failed and shed entries alike.
 
 For *distributed* executors (``executor.distributed`` is true, e.g. the
 process pool) the work item crossing the boundary must be picklable, so the
-engine ships self-contained chunk payloads to the module-level
-:func:`_score_chunk_payload` worker, then merges the returned entry deltas
-and telemetry back in the parent.  The cache snapshot is **broadcast once
-per run** through :mod:`repro.engine.snapshot`: the parent encodes it once
-— by default into a shared-memory block workers attach read-only and
-binary-search in place (zero per-worker deserialisation, one physical copy
-per host), with a pickle-temp-file fallback — and every payload carries
-only the small ``(kind, locator, token)`` reference, memoised per worker
-per run.  Parent-side cost is therefore O(entries) per run, not
-O(chunks × entries), and worker-side cost is an attach, not a copy.
-
-**Fault tolerance** (``retries``, ``journal``, per-model circuit breakers —
-see :mod:`repro.engine.faults`): with ``retries > 0`` chunks dispatch
-through :meth:`_dispatch_retry` on the executor's ``submit_stream`` seam —
-a failed chunk re-enters the dispatcher after a deterministic exponential
-backoff instead of cancelling unrelated work, per-model breakers open
-after consecutive failures and route affected chunks to the cascade's
-next-cheaper tier (when a :class:`~repro.engine.cascade.CascadePolicy` is
-configured) or surface them as explicit ``RunResult(failed=True)`` entries
-in position, and a ``journal`` checkpoint lets an interrupted run resume
-skipping already-completed work.  The run always completes with partial
-results instead of dying; confusion counts exclude failed entries the same
-way they exclude deadline-shed ones.
+loop submits self-contained ``(chunk, snapshot_ref)`` payloads to the
+module-level :func:`_score_chunk_payload` worker, whose outcome carries the
+cache entries it generated for the parent to merge (an in-process chunk
+returns an empty delta).  The cache snapshot is **broadcast once per run**
+through :mod:`repro.engine.snapshot`: the parent encodes it once — by
+default into a shared-memory block workers attach read-only and
+binary-search in place, with a pickle-temp-file fallback — and every
+payload carries only the small ``(kind, locator, token)`` reference.
 
 Because scoring preserves request order and the simulated models are
 deterministic functions of (model, strategy, code), the engine's output is
-bit-identical across executors, dispatch modes, chunk sizings and cache
+bit-identical across executors, chunk sizings, chunk orders and cache
 states — the refactor is purely about *how* the calls run, never about
 *what* they return.  (With a non-deterministic model the cache pins the
 first response per prompt.)
@@ -93,6 +95,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -103,7 +106,7 @@ from repro.engine.cache import ResponseCache, cache_key
 from repro.engine.cascade import CascadePolicy, CascadeRouter
 from repro.engine.coalesce import MicroBatchCoalescer
 from repro.engine.costmodel import CostModel
-from repro.engine.executors import SerialExecutor, create_executor
+from repro.engine.executors import create_executor
 from repro.engine.faults import (
     DEFAULT_BREAKER_COOLDOWN_S,
     DEFAULT_BREAKER_THRESHOLD,
@@ -137,7 +140,6 @@ from repro.prompting.chains import run_strategy_batch, run_strategy_batch_async
 
 __all__ = [
     "DEFAULT_STREAM_WINDOW",
-    "DISPATCH_MODES",
     "ExecutionEngine",
     "resolve_engine",
 ]
@@ -145,17 +147,14 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Valid values for ``ExecutionEngine(dispatch=...)`` / the CLI's ``--dispatch``.
-DISPATCH_MODES = ("ordered", "dynamic")
-
 #: The quantile of a group's per-request latency distribution that a chunk
 #: must overshoot (scaled by ``speculate_after``) before a duplicate copy is
 #: launched — speculation keys on the *tail* of the distribution, so a
 #: naturally noisy group needs a larger excursion than a steady one.
 SPECULATION_QUANTILE = 0.95
 
-#: How often the speculative dispatcher re-checks in-flight chunks against
-#: their thresholds (seconds).  Engine attribute ``speculation_poll_s``
+#: How often the dispatch loop re-checks in-flight chunks against their
+#: speculation thresholds (seconds).  Engine attribute ``speculation_poll_s``
 #: overrides it per instance (benchmarks/tests tighten it).
 DEFAULT_SPECULATION_POLL_S = 0.01
 
@@ -167,13 +166,33 @@ DEFAULT_STREAM_WINDOW = 2048
 
 _IndexedRequest = Tuple[int, DetectionRequest]
 
-#: What executing one chunk produces in-process: the scored results plus
+#: What executing one chunk produces, in-process or in a worker: the scored
+#: results, the cache entries a distributed worker generated for the parent
+#: to merge (empty in-process, where the chunk writes the cache directly),
 #: hit/miss/model-call counters and the chunk's wall time.
-_ChunkOutcome = Tuple[List[Tuple[int, RunResult]], Dict[str, int], float]
+_ChunkOutcome = Tuple[List[Tuple[int, RunResult]], Dict[str, str], Dict[str, int], float]
 
-#: What a distributed chunk worker sends back: a chunk outcome plus the
-#: cache entry delta the parent must merge.
-_DistributedOutcome = Tuple[List[Tuple[int, RunResult]], Dict[str, str], Dict[str, int], float]
+
+class _Copy(NamedTuple):
+    """The tag of one submitted copy of a chunk.
+
+    ``index`` is the chunk's position in the plan and ``attempt`` its
+    0-based retry attempt; ``chunk`` is what this copy executes — the
+    planned requests, or a rewrite onto another model (a breaker reroute
+    or a fallback speculation), so the merge attributes cache identity,
+    telemetry and cost to the model that actually answered.
+    """
+
+    index: int
+    attempt: int
+    chunk: Sequence[_IndexedRequest]
+    duplicate: bool = False
+    fallback: bool = False
+
+
+#: The dispatch loop's chunks with copies in flight: per chunk index, the
+#: first copy's start time and tag plus the live futures of every copy.
+_Running = Dict[int, Tuple[float, _Copy, List["concurrent.futures.Future"]]]
 
 #: A published cache snapshot reference crossing the process boundary:
 #: ``(kind, shm-name-or-path, unique broadcast token)``.
@@ -210,6 +229,16 @@ def _partition_cached(
         else:
             miss_positions.append(position)
     return responses, miss_positions
+
+
+def _rewrite(
+    chunk: Sequence[_IndexedRequest], model
+) -> List[_IndexedRequest]:
+    """``chunk``'s requests re-pointed at ``model`` (same slots, same records).
+
+    The one rewrite behind a breaker reroute and a fallback speculation.
+    """
+    return [(index, dataclasses.replace(request, model=model)) for index, request in chunk]
 
 
 def _require_batch_length(
@@ -280,7 +309,7 @@ _WORKER_SNAPSHOTS = _worker_snapshot_memo
 
 def _score_chunk_payload(
     payload: Tuple[Sequence[_IndexedRequest], Optional[_SnapshotRef]],
-) -> _DistributedOutcome:
+) -> _ChunkOutcome:
     """Score one chunk in a worker process (no shared state with the parent).
 
     ``payload`` is ``(chunk, snapshot_ref)`` where ``snapshot_ref`` points
@@ -300,7 +329,7 @@ def _score_chunk_payload(
     start = time.perf_counter()
     model = chunk[0][1].model
     strategy = chunk[0][1].strategy
-    identity = getattr(model, "cache_identity", model.name)
+    identity = model.cache_identity
     new_entries: Dict[str, str] = {}
     counters = {
         "hits": 0,
@@ -350,8 +379,9 @@ class ExecutionEngine:
     Parameters
     ----------
     executor:
-        An object with order-preserving ``map(fn, items)`` (and, for
-        dynamic dispatch, completion-order ``map_unordered``); defaults to
+        An executor from :mod:`repro.engine.executors` (anything with
+        ``map``, ``submit_stream``, ``capacity``, ``distributed`` and
+        ``native_async``); defaults to
         :class:`~repro.engine.executors.SerialExecutor`.
     jobs:
         Shorthand: build the executor via
@@ -369,11 +399,6 @@ class ExecutionEngine:
         ``adaptive_batching`` the cost model scales each group's actual
         chunk size around this baseline (within ``[batch_size / 4,
         batch_size * 4]``, never below 1).
-    dispatch:
-        ``"dynamic"`` (default) merges chunks in completion order via the
-        executor's ``map_unordered`` — no chunk waits behind a slower one
-        at the merge barrier; ``"ordered"`` is the reference path through
-        blocking ``map``.  Output is bit-identical either way.
     lpt:
         Dispatch chunks longest-processing-time first, using the cost
         model's estimates.  Groups never observed keep plan order.
@@ -400,13 +425,13 @@ class ExecutionEngine:
     coalesce_window_s / coalesce_max_batch:
         The coalescer's collection window and early-flush prompt limit.
     speculate:
-        Tail-latency control: during dynamic dispatch, watch in-flight
-        chunks against the cost model's per-chunk quantile estimate and,
-        when one overshoots its threshold while idle capacity exists,
-        launch a duplicate copy — the first completion wins, the loser is
-        cancelled (or its result dropped), and only the winner feeds the
-        result store, cache, telemetry counters and cost model, so results
-        stay bit-identical with speculation on or off.
+        Tail-latency control: watch in-flight chunks against the cost
+        model's per-chunk quantile estimate and, when one overshoots its
+        threshold while idle capacity exists, launch a duplicate copy —
+        the first success wins, the loser is cancelled (or its result
+        dropped), and only the winner feeds the result store, cache,
+        telemetry counters and cost model, so results stay bit-identical
+        with speculation on or off.
     speculate_after:
         Straggler threshold multiplier: a chunk becomes a speculation
         candidate once its elapsed time exceeds ``speculate_after`` times
@@ -450,28 +475,26 @@ class ExecutionEngine:
         ``None`` (default) keeps duplicates same-backend — bit-identical
         responses, speculation on or off.
     retries:
-        Per-chunk retry budget (default 0 = the historical fail-fast
-        behaviour).  With ``retries > 0`` chunks dispatch through the
-        fault-tolerant :meth:`_dispatch_retry` loop: a retryable failure
-        (see :func:`~repro.engine.faults.is_retryable`) re-enters the
-        dispatcher after an exponential backoff with deterministic
-        jitter instead of blocking a worker or cancelling unrelated
-        chunks; exhausted retries surface as explicit
-        ``RunResult(failed=True)`` entries in position, so the run
-        completes with partial results instead of aborting.  The retry
-        dispatcher always merges in completion order and supersedes
-        speculation — results are bit-identical either way when no
-        faults fire.
+        Per-chunk retry budget (default 0 = fail-fast: the first chunk
+        error re-raises and outstanding work is cancelled).  With
+        ``retries > 0`` a retryable failure (see
+        :func:`~repro.engine.faults.is_retryable`) re-enters the dispatch
+        loop after an exponential backoff with deterministic jitter
+        instead of blocking a worker or cancelling unrelated chunks;
+        exhausted retries surface as explicit ``RunResult(failed=True)``
+        entries in position, so the run completes with partial results
+        instead of aborting.  Composes with speculation: a chunk is
+        retried only once its last running copy has failed.
     retry_base_ms:
         First-retry backoff in milliseconds; doubles per attempt, scaled
         by a jitter factor seeded from the chunk identity (never the
         wall clock), so retried runs stay reproducible.
     breaker_threshold / breaker_cooldown_s:
-        Per-model circuit breakers (active on the retry dispatcher,
-        keyed on ``cache_identity``): after ``breaker_threshold``
-        consecutive chunk failures on one model its breaker opens for
-        ``breaker_cooldown_s`` seconds, then admits a single half-open
-        probe.  While open, affected chunks route to the cascade's
+        Per-model circuit breakers (keyed on ``cache_identity``, fed
+        only by final give-ups, so they matter once ``retries > 0``):
+        after ``breaker_threshold`` consecutive chunk failures on one
+        model its breaker opens for ``breaker_cooldown_s`` seconds, then
+        admits a single half-open probe.  While open, affected chunks route to the cascade's
         next-cheaper tier when a ``cascade`` policy is configured, else
         they fail explicitly without a model call.
     journal:
@@ -492,7 +515,6 @@ class ExecutionEngine:
         cache: Optional[ResponseCache] = None,
         batch_size: int = 32,
         telemetry: Optional[EngineTelemetry] = None,
-        dispatch: str = "dynamic",
         lpt: bool = True,
         adaptive_batching: bool = True,
         cost_model: Optional[CostModel] = None,
@@ -523,10 +545,6 @@ class ExecutionEngine:
             raise ValueError("batch_size must be >= 1")
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1 or None")
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch mode {dispatch!r}; expected one of {DISPATCH_MODES}"
-            )
         if speculate_after <= 0:
             raise ValueError("speculate_after must be > 0")
         if deadline is not None and deadline <= 0:
@@ -554,7 +572,6 @@ class ExecutionEngine:
         self.cache = cache
         self.batch_size = batch_size
         self.telemetry = telemetry or EngineTelemetry()
-        self.dispatch = dispatch
         self.lpt = lpt
         self.adaptive_batching = adaptive_batching
         self.cost_model = cost_model if cost_model is not None else CostModel()
@@ -585,7 +602,7 @@ class ExecutionEngine:
         self.deadline = deadline
         self.snapshot_transport = snapshot_transport
         self.stream_window = stream_window if stream_window is not None else DEFAULT_STREAM_WINDOW
-        #: Poll interval of the speculative dispatcher; tests and
+        #: Speculation poll interval of the dispatch loop; tests and
         #: benchmarks tighten it to race short synthetic chunks.
         self.speculation_poll_s = DEFAULT_SPECULATION_POLL_S
         #: The deadline planner's post-shedding makespan prediction for the
@@ -637,7 +654,7 @@ class ExecutionEngine:
         large the stream — the producer is never run ahead of consumption by
         more than one window.  Within each window the full machinery of
         :meth:`run` applies unchanged: (model, strategy) grouping,
-        cost-model adaptive chunk sizing, LPT ordering, dynamic
+        cost-model adaptive chunk sizing, LPT ordering, the
         completion-order merge, speculation and the response cache — and a
         ``deadline`` budgets each window independently.  Results are yielded
         in request order as each window drains; for the same requests the
@@ -722,10 +739,8 @@ class ExecutionEngine:
         chunks, shed = self._chunk(indexed)
         for index, request in shed:
             results[index] = shed_result(request)
-        if getattr(self.executor, "distributed", False):
-            self._run_distributed(chunks, results)
-        else:
-            self._run_local(chunks, results)
+        if chunks:
+            self._run_chunks(chunks, results)
         self.telemetry.record_requests(total)
         self.telemetry.record_resident(total)
         return results, len(shed)
@@ -766,38 +781,9 @@ class ExecutionEngine:
 
     # -- internals ------------------------------------------------------------------
 
-    def _dynamic(self) -> bool:
-        """Dynamic dispatch requested and supported by the executor."""
-        return self.dispatch == "dynamic" and hasattr(self.executor, "map_unordered")
-
-    def _async_native(self) -> bool:
-        """Chunk work should run as coroutines awaiting model I/O natively."""
-        return bool(getattr(self.executor, "native_async", False))
-
     def _capacity(self) -> int:
         """How many chunks the executor genuinely runs at once."""
-        return max(
-            1, int(getattr(self.executor, "capacity", getattr(self.executor, "jobs", 1)))
-        )
-
-    def _speculative(self) -> bool:
-        """Speculative re-execution applies: dynamic dispatch, real parallelism."""
-        return (
-            self.speculate
-            and self.dispatch == "dynamic"
-            and hasattr(self.executor, "submit")
-            and self._capacity() > 1
-        )
-
-    def _retrying(self) -> bool:
-        """Fault-tolerant dispatch applies: a retry budget and a capable executor.
-
-        The retry dispatcher supersedes both dispatch modes and
-        speculation — it always merges in completion order, which is
-        result-identical (positional fill) and the only shape that lets
-        failed chunks re-enter the stream after backoff.
-        """
-        return self.retry_policy.enabled and hasattr(self.executor, "submit_stream")
+        return max(1, self.executor.capacity)
 
     def _chunk(
         self, indexed: Sequence[_IndexedRequest]
@@ -825,7 +811,7 @@ class ExecutionEngine:
         estimates: Dict[Tuple[int, str, str], Optional[float]] = {}
         for key, group in groups.items():
             model = group[0][1].model
-            identity = getattr(model, "cache_identity", model.name)
+            identity = model.cache_identity
             strategy_name = group[0][1].strategy.value
             # Cold-start fix for non-LLM tiers: a model advertising
             # cost_prior_s (the cascade's analyzer/inspector adapters)
@@ -927,66 +913,32 @@ class ExecutionEngine:
         kept_costs = [cost for i, cost in enumerate(chunk_costs) if keep[i]]
         return kept_chunks, kept_costs, shed
 
-    def _run_local(
+    def _run_chunks(
         self,
         chunks: Sequence[Sequence[_IndexedRequest]],
         results: List[Optional[RunResult]],
     ) -> None:
-        """Execute chunks in-process and merge each outcome as it lands.
+        """Run the dispatch loop with this executor's work item.
 
-        With an async-native executor the chunk work item is a *coroutine*
-        (:meth:`_run_chunk_async`): model I/O is awaited on the executor's
-        event loop under its ``max_inflight`` semaphore, so concurrency is
-        bounded by in-flight awaits, not worker threads.  Everything else —
-        dispatch modes, merge order, scoring — is shared with the sync
-        path, and results are bit-identical.
+        In-process executors run :meth:`_run_chunk` (or, async-native, the
+        :meth:`_run_chunk_async` coroutine, whose model I/O is awaited on
+        the executor's loop under its ``max_inflight`` semaphore) on the
+        chunk itself.  A distributed executor runs the picklable
+        :func:`_score_chunk_payload` on ``(chunk, snapshot_ref)``: the
+        cache snapshot is published once around the loop — into a
+        shared-memory block workers attach in place, or the temp-file
+        fallback (see :mod:`repro.engine.snapshot`) — and retired when the
+        run finishes, including on error; workers already attached keep
+        their mapping alive, so retirement never races a merge.
         """
-        run_chunk = self._run_chunk
-        if self._async_native():
-            run_chunk = self._run_chunk_async
+        if not self.executor.distributed:
+            if not self.executor.native_async:
+                self._dispatch(self._run_chunk, lambda chunk: chunk, chunks, results)
+                return
             self._inflight_peak = 0  # peak is per run; telemetry keeps the max
-        if self._retrying():
-            self._merge_retry_outcomes(
-                run_chunk, chunks, results, make_item=lambda chunk: chunk
-            )
-            if self._async_native():
-                self.telemetry.record_inflight_peak(self._inflight_peak)
-            return
-        fallback_chunks = self._fallback_chunks(chunks)
-        if self._speculative():
-            outcomes = self._dispatch_speculative(
-                run_chunk, chunks, chunks, fallback_items=fallback_chunks
-            )
-        else:
-            outcomes = self._plain_outcomes(run_chunk, chunks)
-        for chunk_index, (scored, counters, elapsed), used_fallback in outcomes:
-            for index, result in scored:
-                results[index] = result
-            chunk = (
-                fallback_chunks[chunk_index] if used_fallback else chunks[chunk_index]
-            )
-            self._record_chunk(chunk, counters, elapsed)
-            self._journal_record(chunks[chunk_index], scored)
-        if self._async_native():
+            self._dispatch(self._run_chunk_async, lambda chunk: chunk, chunks, results)
             self.telemetry.record_inflight_peak(self._inflight_peak)
-
-    def _run_distributed(
-        self,
-        chunks: Sequence[Sequence[_IndexedRequest]],
-        results: List[Optional[RunResult]],
-    ) -> None:
-        """Dispatch chunks over a process-boundary executor, merge the deltas.
-
-        The cache snapshot is published exactly once per run — into a
-        shared-memory block workers attach in place (or the temp-file
-        fallback; see :mod:`repro.engine.snapshot`).  Payloads carry only
-        its reference, so parent-side cost is O(entries) regardless of
-        chunk count and worker-side cost is one attach, not a
-        deserialisation.  The published block/file outlives every chunk
-        (workers may load it lazily) and is retired when the run finishes
-        — including on error; workers already attached keep their mapping
-        alive, so retirement never races a merge.
-        """
+            return
         published = (
             _publish_snapshot(
                 self.cache.snapshot_records(), transport=self.snapshot_transport
@@ -998,93 +950,191 @@ class ExecutionEngine:
         if published is not None:
             self.telemetry.record_broadcast(published.nbytes)
         try:
-            if self._retrying():
-                self._merge_retry_outcomes(
-                    _score_chunk_payload,
-                    chunks,
-                    results,
-                    make_item=lambda chunk: (chunk, snapshot_ref),
-                    distributed=True,
-                )
-                return
-            payloads = [(chunk, snapshot_ref) for chunk in chunks]
-            fallback_chunks = self._fallback_chunks(chunks)
-            fallback_payloads = None
-            if fallback_chunks is not None:
-                fallback_payloads = [
-                    (chunk, snapshot_ref) if chunk is not None else None
-                    for chunk in fallback_chunks
-                ]
-            if self._speculative():
-                outcomes = self._dispatch_speculative(
-                    _score_chunk_payload, payloads, chunks, fallback_items=fallback_payloads
-                )
-            else:
-                outcomes = self._plain_outcomes(_score_chunk_payload, payloads)
-            for chunk_index, (scored, new_entries, counters, elapsed), used_fallback in outcomes:
-                for index, result in scored:
-                    results[index] = result
-                chunk = (
-                    fallback_chunks[chunk_index] if used_fallback else chunks[chunk_index]
-                )
-                self._merge_worker_entries(chunk, new_entries)
-                self._record_chunk(chunk, counters, elapsed)
-                self._journal_record(chunks[chunk_index], scored)
+            self._dispatch(
+                _score_chunk_payload, lambda chunk: (chunk, snapshot_ref), chunks, results
+            )
         finally:
             _retire_snapshot(published)
 
-    # -- speculative re-execution (tail-latency control) ------------------------------
+    def _dispatch(
+        self,
+        fn: Callable,
+        make_item: Callable,
+        chunks: Sequence[Sequence[_IndexedRequest]],
+        results: List[Optional[RunResult]],
+    ) -> None:
+        """The one dispatch loop: completion order, retry, breakers, speculation.
 
-    def _plain_outcomes(self, fn: Callable, items: Sequence) -> Iterator:
-        """Non-speculative dispatch, normalised to the 3-tuple outcome shape.
+        Chunks go to the executor's ``submit_stream`` with at most
+        ``capacity`` copies in flight, so every in-flight copy is genuinely
+        running and its elapsed wall clock is attributable.  Each copy's
+        tag (:class:`_Copy`) names the chunk it executes.  Per settled copy:
 
-        ``(chunk_index, outcome, used_fallback)`` with ``used_fallback``
-        always ``False`` — only the speculative dispatcher can merge a
-        fallback-model copy.  The inner generator is closed explicitly so
-        early abandonment (an exception mid-merge) cancels queued work just
-        like consuming ``map_unordered`` directly would.
+        * **success** — the first success of a chunk wins: it is merged
+          exactly once (:meth:`_merge`) and its sibling copies are
+          cancelled (queued / async) or their later results dropped;
+        * **failure with a sibling still running** — the sibling decides
+          the chunk;
+        * **failure of the last copy** — the retry policy decides.  Budget
+          0 re-raises (the ``finally`` cancels everything outstanding);
+          a retryable error within budget re-enters the loop after
+          ``RetryPolicy.delay_s`` — held in a backoff heap, never slept
+          inside a worker — and anything else gives up as explicit failed
+          results.  Breakers observe successes and these final give-ups
+          only, never attempt-level flakes a retry then fixed, so whether
+          a run degrades never depends on scheduling order.
+
+        Before submission :meth:`_breaker_route` gates every chunk through
+        its model's breaker (reroute down the cascade or fail explicitly).
+        With ``speculate`` and more than one slot, once no planned chunk
+        is waiting the loop duplicates the most overdue running chunks
+        (:meth:`_chunk_threshold_s`) into idle capacity — at most one
+        duplicate per chunk, on the ``speculate_fallback`` model when one
+        is configured.  The loop returns as soon as every chunk is
+        decided: a losing copy is abandoned, never waited for.
         """
-        if self._dynamic():
-            inner = self.executor.map_unordered(fn, items)
-            try:
-                for index, outcome in inner:
-                    yield index, outcome, False
-            finally:
-                close = getattr(inner, "close", None)
-                if callable(close):
-                    close()
-        else:
-            for index, outcome in enumerate(self.executor.map(fn, items)):
-                yield index, outcome, False
+        stream = self.executor.submit_stream(fn)
+        capacity = self._capacity()
+        policy = self.retry_policy
+        thresholds: List[Optional[float]] = []
+        if self.speculate and capacity > 1:
+            thresholds = [self._chunk_threshold_s(chunk) for chunk in chunks]
+        # A cold cost model cannot declare anything overdue: block on
+        # completions instead of polling.
+        speculate = any(threshold is not None for threshold in thresholds)
+        pending = deque((index, 0) for index in range(len(chunks)))
+        #: Backoff heap: (ready_at, tiebreak, chunk index, attempt).
+        delayed: List[Tuple[float, int, int, int]] = []
+        tiebreak = itertools.count()
+        running: _Running = {}
+        speculated: set = set()
+        decided: set = set()
+        try:
+            while len(decided) < len(chunks):
+                now = time.monotonic()
+                while delayed and delayed[0][0] <= now:
+                    _, _, index, attempt = heapq.heappop(delayed)
+                    pending.append((index, attempt))
+                while pending and stream.inflight < capacity:
+                    index, attempt = pending.popleft()
+                    routed = self._breaker_route(chunks[index])
+                    if routed is None:
+                        self.telemetry.record_breaker_short_circuits(1)
+                        self._fail(chunks[index], results)
+                        decided.add(index)
+                        continue
+                    copy = _Copy(index, attempt, routed)
+                    future = stream.submit(make_item(routed), copy)
+                    running[index] = (time.monotonic(), copy, [future])
+                if not stream.inflight:
+                    if delayed:  # nothing runs until the next backoff matures
+                        time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
+                    continue
+                timeout = self.speculation_poll_s if speculate else None
+                if delayed:
+                    wake = max(0.0, delayed[0][0] - time.monotonic())
+                    timeout = wake if timeout is None else min(timeout, wake)
+                for copy, future in stream.wait(timeout):
+                    index = copy.index
+                    if index in decided:
+                        # The losing copy of a race that already resolved.
+                        if copy.duplicate:
+                            self.telemetry.record_speculation(wasted=1)
+                        continue
+                    live = running[index][2]
+                    live.remove(future)
+                    error = future.exception()
+                    if error is None:
+                        decided.add(index)
+                        for sibling in running.pop(index)[2]:
+                            sibling.cancel()
+                        self.breakers.breaker(
+                            copy.chunk[0][1].model.cache_identity
+                        ).record_success()
+                        if copy.duplicate:
+                            self.telemetry.record_speculation(
+                                won=1, fallback_won=1 if copy.fallback else 0
+                            )
+                        self._merge(chunks[index], copy.chunk, future.result(), results)
+                        continue
+                    if live:
+                        # A sibling is still running: let it decide the
+                        # chunk — speculation must never *add* a failure
+                        # mode on exactly the flaky backends it exists for.
+                        if copy.duplicate:
+                            self.telemetry.record_speculation(wasted=1)
+                        continue
+                    del running[index]
+                    identity = copy.chunk[0][1].model.cache_identity
+                    if policy.allows(copy.attempt) and is_retryable(error):
+                        self.telemetry.record_retries(1)
+                        ready_at = time.monotonic() + policy.delay_s(
+                            copy.attempt, key=f"{identity}|{index}"
+                        )
+                        heapq.heappush(
+                            delayed, (ready_at, next(tiebreak), index, copy.attempt + 1)
+                        )
+                        continue
+                    if not policy.enabled:
+                        raise error
+                    if self.breakers.breaker(identity).record_failure():
+                        self.telemetry.record_breaker_opens(1)
+                    self.telemetry.record_retry_giveups(1)
+                    self._fail(chunks[index], results)
+                    decided.add(index)
+                idle = capacity - stream.inflight
+                # Freed slots belong to queued originals first: a duplicate
+                # jumping the queue would push first-copy work *behind*
+                # re-executed work and lengthen the makespan.
+                if not speculate or pending or idle <= 0:
+                    continue
+                for index in self._overdue(running, thresholds, speculated)[:idle]:
+                    _, original, live = running[index]
+                    duplicate = original._replace(duplicate=True)
+                    fallback_model = (
+                        self.speculate_fallback(original.chunk[0][1].model)
+                        if self.speculate_fallback is not None
+                        else None
+                    )
+                    if fallback_model is not None:
+                        # Cross-backend: race the straggler against a
+                        # cheaper tier instead of a same-backend twin.
+                        duplicate = duplicate._replace(
+                            chunk=_rewrite(original.chunk, fallback_model), fallback=True
+                        )
+                    live.append(stream.submit(make_item(duplicate.chunk), duplicate))
+                    speculated.add(index)
+                    self.telemetry.record_speculation(
+                        launched=1, fallback_launched=1 if duplicate.fallback else 0
+                    )
+        finally:
+            for copy in stream.close():
+                if copy.duplicate and copy.index in decided:
+                    # A duplicate abandoned because its original won.
+                    self.telemetry.record_speculation(wasted=1)
 
-    def _fallback_chunks(
-        self, chunks: Sequence[Sequence[_IndexedRequest]]
-    ) -> Optional[List[Optional[List[_IndexedRequest]]]]:
-        """Cross-backend speculation: per-chunk rewrites onto a cheaper model.
+    @staticmethod
+    def _overdue(
+        running: _Running,
+        thresholds: Sequence[Optional[float]],
+        speculated: set,
+    ) -> List[int]:
+        """Running chunks past their speculation threshold, most overdue first.
 
-        When a ``speculate_fallback`` mapping is configured, each chunk gets
-        a copy of its requests re-pointed at the fallback model (``None``
-        when the chunk's model has nothing cheaper below it).  The copy is
-        what a speculative duplicate submits — racing a different backend
-        against the straggler instead of re-running the same one.
+        One duplicate per chunk, ever: chunks already in ``speculated``
+        never qualify again.
         """
-        if self.speculate_fallback is None or not self._speculative():
-            return None
-        rewritten: List[Optional[List[_IndexedRequest]]] = []
-        any_fallback = False
-        for chunk in chunks:
-            fallback_model = self.speculate_fallback(chunk[0][1].model)
-            if fallback_model is None:
-                rewritten.append(None)
+        now = time.monotonic()
+        overdue: List[Tuple[float, int]] = []
+        for index, (start, _copy, _live) in running.items():
+            threshold = thresholds[index]
+            if index in speculated or threshold is None:
                 continue
-            any_fallback = True
-            rewritten.append(
-                [
-                    (index, dataclasses.replace(request, model=fallback_model))
-                    for index, request in chunk
-                ]
-            )
-        return rewritten if any_fallback else None
+            elapsed = now - start
+            if elapsed > threshold:
+                overdue.append((elapsed / threshold, index))
+        overdue.sort(reverse=True)
+        return [index for _, index in overdue]
 
     def _chunk_threshold_s(self, chunk: Sequence[_IndexedRequest]) -> Optional[float]:
         """Elapsed seconds after which ``chunk`` counts as a straggler.
@@ -1095,213 +1145,12 @@ class ExecutionEngine:
         "normal" looks like, a chunk can never be declared overdue.
         """
         request = chunk[0][1]
-        identity = getattr(request.model, "cache_identity", request.model.name)
         quantile = self.cost_model.quantile_estimate(
-            identity, request.strategy.value, SPECULATION_QUANTILE
+            request.model.cache_identity, request.strategy.value, SPECULATION_QUANTILE
         )
         if quantile is None or quantile <= 0:
             return None
         return self.speculate_after * quantile * len(chunk)
-
-    def _dispatch_speculative(
-        self,
-        fn: Callable,
-        items: Sequence,
-        chunks: Sequence[Sequence[_IndexedRequest]],
-        fallback_items: Optional[Sequence] = None,
-    ) -> Iterator[Tuple[int, object, bool]]:
-        """Completion-order dispatch that races duplicates of stragglers.
-
-        Like ``map_unordered``, yields outcomes as work finishes — as
-        ``(chunk_index, outcome, used_fallback)`` triples — but submission
-        is *bounded*: at most ``capacity`` futures are in flight at once,
-        so every in-flight future is genuinely running and its elapsed
-        wall clock is attributable.  The dispatcher polls the in-flight
-        set; when a chunk overshoots its cost-model threshold
-        (:meth:`_chunk_threshold_s`) and idle capacity exists (pending
-        work always fills slots first), it submits a duplicate of the same
-        item.  The first copy to complete wins and is merged exactly once;
-        the losing copy is cancelled (queued / async) or its eventual
-        result dropped (already running on a thread/process worker), so
-        the cache, telemetry counters and cost-model observations are
-        never double-fed — results are bit-identical with speculation on
-        or off.
-
-        ``items`` is what gets submitted (chunks in-process, payloads for
-        distributed executors); ``chunks`` supplies the per-chunk cost
-        estimates.  ``fallback_items`` enables *cross-backend* speculation:
-        when entry ``i`` is non-``None``, the duplicate of straggler ``i``
-        submits that item instead — the same requests re-pointed at a
-        cheaper tier's model — and a fallback win is flagged via
-        ``used_fallback`` so the merge attributes cache identity, telemetry
-        and cost observations to the model that actually answered.  A
-        work-item exception propagates to the caller after every
-        outstanding future is cancelled, matching the ``map_unordered``
-        contract.
-        """
-        executor = self.executor
-        capacity = self._capacity()
-        thresholds = [self._chunk_threshold_s(chunk) for chunk in chunks]
-        if all(threshold is None for threshold in thresholds):
-            # Nothing can ever be declared overdue (cold cost model):
-            # don't pay the polling loop — plain completion-order dispatch
-            # is exactly equivalent.  The inner generator is closed
-            # explicitly so the abandonment contract is preserved.
-            inner = executor.map_unordered(fn, items)
-            try:
-                for index, outcome in inner:
-                    yield index, outcome, False
-            finally:
-                close = getattr(inner, "close", None)
-                if callable(close):
-                    close()
-            return
-        pending = deque(range(len(items)))
-        #: future -> (chunk index, is_duplicate, runs_on_fallback)
-        inflight: Dict["concurrent.futures.Future", Tuple[int, bool, bool]] = {}
-        started: Dict[int, float] = {}
-        speculated: set = set()
-        merged: set = set()
-        try:
-            # Stop as soon as every chunk has merged a winner: waiting for
-            # losing copies to unwind would re-grow the very tail
-            # speculation just cut off (a hung thread-pool loser cannot be
-            # cancelled, only abandoned — the finally below drops it).
-            while (pending or inflight) and len(merged) < len(items):
-                while pending and len(inflight) < capacity:
-                    index = pending.popleft()
-                    inflight[executor.submit(fn, items[index])] = (index, False, False)
-                    started[index] = time.perf_counter()
-                done, _ = concurrent.futures.wait(
-                    list(inflight),
-                    timeout=self.speculation_poll_s,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in done:
-                    index, is_duplicate, on_fallback = inflight.pop(future)
-                    if index in merged:
-                        # The losing copy of a race that already resolved.
-                        if is_duplicate:
-                            self.telemetry.record_speculation(wasted=1)
-                        continue
-                    try:
-                        outcome = future.result()
-                    except BaseException:
-                        # One copy of a racing pair failed while its
-                        # sibling is still running: let the sibling decide
-                        # the chunk — aborting here would make speculation
-                        # *add* a failure mode on exactly the flaky
-                        # backends it exists for.  With no sibling left,
-                        # the error is the chunk's real outcome: re-raise
-                        # (the finally cancels everything outstanding),
-                        # matching the map_unordered contract.
-                        if any(other == index for other, _, _ in inflight.values()):
-                            if is_duplicate:
-                                self.telemetry.record_speculation(wasted=1)
-                            continue
-                        raise
-                    merged.add(index)
-                    if is_duplicate:
-                        self.telemetry.record_speculation(
-                            won=1, fallback_won=1 if on_fallback else 0
-                        )
-                    for other, (other_index, _, _) in list(inflight.items()):
-                        if other_index == index:
-                            other.cancel()
-                    yield index, outcome, on_fallback
-                if pending:
-                    # Freed slots belong to queued originals first; the
-                    # top-of-loop refill takes them.  A duplicate jumping
-                    # the queue would push first-copy work *behind*
-                    # re-executed work and lengthen the makespan.
-                    continue
-                idle = capacity - len(inflight)
-                if idle <= 0:
-                    continue
-                now = time.perf_counter()
-                overdue: List[Tuple[float, int]] = []
-                for index, is_duplicate, _on_fallback in inflight.values():
-                    if is_duplicate or index in speculated or index in merged:
-                        continue
-                    threshold = thresholds[index]
-                    if threshold is None:
-                        continue
-                    elapsed = now - started[index]
-                    if elapsed > threshold:
-                        overdue.append((elapsed / threshold, index))
-                # Most overdue first: the worst straggler gets the first
-                # idle slot.  One duplicate per chunk, ever.
-                overdue.sort(reverse=True)
-                for _, index in overdue[:idle]:
-                    item = items[index]
-                    on_fallback = False
-                    if fallback_items is not None and fallback_items[index] is not None:
-                        # Cross-backend: race the straggler against a
-                        # cheaper tier instead of a same-backend twin.
-                        item = fallback_items[index]
-                        on_fallback = True
-                    inflight[executor.submit(fn, item)] = (index, True, on_fallback)
-                    speculated.add(index)
-                    self.telemetry.record_speculation(
-                        launched=1, fallback_launched=1 if on_fallback else 0
-                    )
-        finally:
-            for future, (index, is_duplicate, _on_fallback) in inflight.items():
-                future.cancel()
-                if is_duplicate and index in merged:
-                    # A duplicate abandoned because its original won.
-                    self.telemetry.record_speculation(wasted=1)
-
-    # -- fault-tolerant dispatch (retry/backoff, breakers, journal) -------------------
-
-    def _merge_worker_entries(
-        self, chunk: Sequence[_IndexedRequest], new_entries: Dict[str, str]
-    ) -> None:
-        """Fold a distributed worker's fresh cache entries into the parent."""
-        if self.cache is None or not new_entries:
-            return
-        model = chunk[0][1].model
-        identity = getattr(model, "cache_identity", model.name)
-        for key, response in new_entries.items():
-            self.cache.put_key(key, response, identity=identity)
-
-    def _merge_retry_outcomes(
-        self,
-        fn: Callable,
-        chunks: Sequence[Sequence[_IndexedRequest]],
-        results: List[Optional[RunResult]],
-        make_item: Callable,
-        distributed: bool = False,
-    ) -> None:
-        """Drain the retry dispatcher and merge what it yields.
-
-        A ``None`` outcome is a chunk the fault layer gave up on (retries
-        exhausted, or its breaker open with nowhere to degrade to): every
-        request gets an explicit positional ``failed`` result and nothing
-        feeds the cache, telemetry counters, cost model or journal —
-        mirroring how deadline-shed work is handled.
-        """
-        for chunk_index, outcome, executed_chunk in self._dispatch_retry(
-            fn, chunks, make_item
-        ):
-            original = chunks[chunk_index]
-            if outcome is None:
-                for index, request in original:
-                    results[index] = failed_result(request)
-                self.telemetry.record_failed_requests(len(original))
-                continue
-            if distributed:
-                scored, new_entries, counters, elapsed = outcome
-                self._merge_worker_entries(executed_chunk, new_entries)
-            else:
-                scored, counters, elapsed = outcome
-            for index, result in scored:
-                results[index] = result
-            # Telemetry/cost attribution goes to the model that actually
-            # answered (a breaker may have rerouted the chunk); the journal
-            # keys on the *original* requests so a resume finds them.
-            self._record_chunk(executed_chunk, counters, elapsed)
-            self._journal_record(original, scored)
 
     def _breaker_route(
         self, chunk: Sequence[_IndexedRequest]
@@ -1319,7 +1168,7 @@ class ExecutionEngine:
         current = model
         seen = set()
         while True:
-            identity = getattr(current, "cache_identity", current.name)
+            identity = current.cache_identity
             if identity in seen:  # ladder cycle guard
                 return None
             seen.add(identity)
@@ -1327,124 +1176,59 @@ class ExecutionEngine:
                 if current is model:
                     return chunk
                 self.telemetry.record_breaker_reroutes(1)
-                return [
-                    (index, dataclasses.replace(request, model=current))
-                    for index, request in chunk
-                ]
+                return _rewrite(chunk, current)
             if self.cascade is None:
                 return None
             current = self.cascade.fallback_model(current)
             if current is None:
                 return None
 
-    def _dispatch_retry(
+    # -- merge ------------------------------------------------------------------------
+
+    def _merge(
         self,
-        fn: Callable,
-        chunks: Sequence[Sequence[_IndexedRequest]],
-        make_item: Callable,
-    ) -> Iterator[Tuple[int, Optional[object], Sequence[_IndexedRequest]]]:
-        """Completion-order dispatch with retry/backoff and circuit breakers.
+        original: Sequence[_IndexedRequest],
+        executed: Sequence[_IndexedRequest],
+        outcome: _ChunkOutcome,
+        results: List[Optional[RunResult]],
+    ) -> None:
+        """Fold one chunk's winning outcome into the run, exactly once.
 
-        Yields ``(chunk_index, outcome, executed_chunk)`` triples:
-        ``outcome`` is the chunk worker's result, or ``None`` when the
-        fault layer gave up; ``executed_chunk`` is the chunk that actually
-        ran (the original, or a breaker-rerouted rewrite onto a cheaper
-        cascade tier).
-
-        Dispatch runs on the executor's ``submit_stream`` seam, so one
-        chunk's failure never cancels unrelated futures.  A retryable
-        failure re-enters the dispatcher after
-        ``RetryPolicy.delay_s(attempt, key)`` — the backoff is held in
-        the dispatcher's delay heap, never slept inside a worker, so a
-        retrying chunk costs zero executor capacity until it is due.
-        Per-model breakers observe successes and *final* failures —
-        exhausted retry budgets and permanent errors, not attempt-level
-        flakes a retry then fixed; an open breaker short-circuits
-        submission (reroute or explicit failure) instead of burning
-        calls against a failing backend.
+        Results land in their request slots; a distributed worker's fresh
+        cache entries, the telemetry counters and the cost observation are
+        attributed to the model that actually answered (``executed``); the
+        journal keys on the ``original`` requests so a resume finds them.
         """
-        stream = self.executor.submit_stream(fn)
-        capacity = self._capacity()
-        policy = self.retry_policy
-        pending: deque = deque((index, 0) for index in range(len(chunks)))
-        #: Backoff heap: (ready_at, tiebreak, chunk_index, attempt).
-        delayed: List[Tuple[float, int, int, int]] = []
-        tiebreak = 0
-        outstanding = len(chunks)
-        try:
-            while outstanding > 0:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _, _, index, attempt = heapq.heappop(delayed)
-                    pending.append((index, attempt))
-                while pending and stream.inflight < capacity:
-                    index, attempt = pending.popleft()
-                    routed = self._breaker_route(chunks[index])
-                    if routed is None:
-                        self.telemetry.record_breaker_short_circuits(1)
-                        outstanding -= 1
-                        yield index, None, chunks[index]
-                        continue
-                    stream.submit(make_item(routed), (index, attempt, routed))
-                if stream.inflight == 0:
-                    if not pending and not delayed:
-                        break  # every chunk resolved mid-refill
-                    # Nothing runs until the next backoff matures; sleep
-                    # just long enough instead of spinning the poll.
-                    if delayed:
-                        remaining = delayed[0][0] - time.monotonic()
-                        if remaining > 0:
-                            time.sleep(min(remaining, self.speculation_poll_s))
-                    continue
-                for tag, future in stream.wait(self.speculation_poll_s):
-                    index, attempt, executed_chunk = tag
-                    error = future.exception()
-                    if error is None:
-                        identity = getattr(
-                            executed_chunk[0][1].model,
-                            "cache_identity",
-                            executed_chunk[0][1].model.name,
-                        )
-                        self.breakers.breaker(identity).record_success()
-                        outstanding -= 1
-                        yield index, future.result(), executed_chunk
-                        continue
-                    identity = getattr(
-                        executed_chunk[0][1].model,
-                        "cache_identity",
-                        executed_chunk[0][1].model.name,
-                    )
-                    if policy.allows(attempt) and is_retryable(error):
-                        # A failure the backoff may still fix is *not*
-                        # breaker evidence: tripping on attempt-level
-                        # flakes would make whether a run degrades depend
-                        # on scheduling order, breaking the guarantee
-                        # that chaos-with-enough-retries is bit-identical
-                        # to fault-free.  The breaker watches the retry
-                        # layer's *verdicts* — exhausted budgets and
-                        # permanent errors — i.e. models retries cannot
-                        # save.
-                        self.telemetry.record_retries(1)
-                        delay = policy.delay_s(attempt, key=f"{identity}|{index}")
-                        heapq.heappush(
-                            delayed,
-                            (time.monotonic() + delay, tiebreak, index, attempt + 1),
-                        )
-                        tiebreak += 1
-                    else:
-                        if self.breakers.breaker(identity).record_failure():
-                            self.telemetry.record_breaker_opens(1)
-                        self.telemetry.record_retry_giveups(1)
-                        outstanding -= 1
-                        yield index, None, executed_chunk
-        finally:
-            stream.close()
+        scored, new_entries, counters, elapsed = outcome
+        for index, result in scored:
+            results[index] = result
+        if new_entries and self.cache is not None:
+            identity = executed[0][1].model.cache_identity
+            for key, response in new_entries.items():
+                self.cache.put_key(key, response, identity=identity)
+        self._record_chunk(executed, counters, elapsed)
+        self._journal_record(original, scored)
+
+    def _fail(
+        self, chunk: Sequence[_IndexedRequest], results: List[Optional[RunResult]]
+    ) -> None:
+        """A chunk the fault layer gave up on: explicit failed results.
+
+        Nothing feeds the cache, telemetry counters, cost model or journal
+        — mirroring how deadline-shed work is handled.
+        """
+        for index, request in chunk:
+            results[index] = failed_result(request)
+        self.telemetry.record_failed_requests(len(chunk))
+
+    # -- run journal ------------------------------------------------------------------
 
     def _journal_key(self, request: DetectionRequest) -> str:
-        model = request.model
-        identity = getattr(model, "cache_identity", model.name)
         return request_key(
-            identity, request.strategy.value, request.scoring, request.record.name
+            request.model.cache_identity,
+            request.strategy.value,
+            request.scoring,
+            request.record.name,
         )
 
     def _journal_filter(
@@ -1457,7 +1241,10 @@ class ExecutionEngine:
         A journaled response is *re-scored* through the same deterministic
         ``score_response`` path it originally took, so a resumed run's
         results are bit-identical to an uninterrupted one — without ever
-        touching the model.  Journaled shed entries replay as skips;
+        touching the model.  The result names the model that answered
+        (journaled as ``model``: a breaker may have rerouted the chunk to a
+        cascade tier); lines written without the field replay under the
+        request's own model.  Journaled shed entries replay as skips;
         failures are never journaled, so a resume retries them.
         """
         remaining: List[_IndexedRequest] = []
@@ -1470,6 +1257,8 @@ class ExecutionEngine:
                     result = shed_result(request)
                 elif isinstance(payload.get("response"), str):
                     result = score_response(request, payload["response"])
+                    if isinstance(payload.get("model"), str):
+                        result.model = payload["model"]
             if result is not None:
                 results[index] = result
                 hits += 1
@@ -1501,6 +1290,7 @@ class ExecutionEngine:
                 continue
             entries[self._journal_key(request)] = {
                 "record": request.record.name,
+                "model": result.model,
                 "response": result.response,
                 "skipped": result.skipped,
             }
@@ -1536,8 +1326,9 @@ class ExecutionEngine:
             misses=counters["misses"],
             calls=counters["calls"],
         )
-        identity = getattr(model, "cache_identity", model.name)
-        self.cost_model.observe(identity, request.strategy.value, elapsed / len(chunk))
+        self.cost_model.observe(
+            model.cache_identity, request.strategy.value, elapsed / len(chunk)
+        )
 
     def _run_chunk(self, chunk: Sequence[_IndexedRequest]) -> _ChunkOutcome:
         """One executor work item: a same-(model, strategy, scoring) chunk.
@@ -1558,7 +1349,7 @@ class ExecutionEngine:
             (index, score_response(request, response))
             for (index, request), response in zip(chunk, responses)
         ]
-        return scored, counters, time.perf_counter() - start
+        return scored, {}, counters, time.perf_counter() - start
 
     def _generate_many(
         self, model, prompts: Sequence[str], counters: Dict[str, int]
@@ -1571,7 +1362,7 @@ class ExecutionEngine:
             return _require_batch_length(
                 list(model.generate_batch(prompts)), len(prompts)
             )
-        identity = getattr(model, "cache_identity", model.name)
+        identity = model.cache_identity
         responses, hits, misses = _generate_with_cache(
             model,
             prompts,
@@ -1614,7 +1405,7 @@ class ExecutionEngine:
                 (index, score_response(request, response))
                 for (index, request), response in zip(chunk, responses)
             ]
-            return scored, counters, time.perf_counter() - start
+            return scored, {}, counters, time.perf_counter() - start
         finally:
             self._inflight -= 1
 
@@ -1655,7 +1446,7 @@ class ExecutionEngine:
         if self.cache is None:
             counters["calls"] += len(prompts)
             return await call_model(prompts)
-        identity = getattr(model, "cache_identity", model.name)
+        identity = model.cache_identity
         responses, miss_positions = _partition_cached(
             prompts, lambda prompt: self.cache.get(identity, prompt)
         )
@@ -1672,6 +1463,6 @@ class ExecutionEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cache = f"cache={len(self.cache)} entries" if self.cache is not None else "no cache"
         return (
-            f"<ExecutionEngine executor={self.executor!r} dispatch={self.dispatch}"
+            f"<ExecutionEngine executor={self.executor!r}"
             f" batch_size={self.batch_size} lpt={self.lpt} {cache}>"
         )

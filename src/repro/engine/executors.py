@@ -3,34 +3,28 @@
 An executor implements two dispatch contracts:
 
 * ``map(fn, items) -> list`` — the *ordered* contract: results in input
-  order, exceptions propagated.  This is the reference path the engine's
-  equivalence guarantee is stated against.
-* ``submit(fn, item) -> Future`` plus ``map_unordered(fn, items)`` — the
-  *completion-order* contract: ``map_unordered`` returns an iterator of
-  ``(index, result)`` pairs yielded **as work items finish**, so a consumer
-  can merge fast results while slow ones are still running instead of
-  blocking behind an order-preserving barrier.  Indices refer to positions
-  in ``items``; every index appears exactly once.  The first work-item
-  exception is re-raised to the consumer and every not-yet-started future
-  is cancelled — the same happens when the consumer abandons (closes) the
-  iterator early.  A closed executor raises :class:`RuntimeError` from
-  ``submit`` and ``map_unordered`` alike.
-* ``submit_stream(fn) -> SubmitStream`` — the *fault-tolerant* contract:
-  incremental submission with completion-order draining where a work-item
-  failure is delivered in its future and never cancels unrelated futures.
-  The engine's retry dispatcher runs on this seam, so with ``--retries``
-  one chunk's transient failure no longer tears down the whole run.
+  order, exceptions propagated.  The engine uses it for non-LLM work
+  (``ExecutionEngine.map``, e.g. the Inspector baseline).
+* ``submit(fn, item) -> Future`` plus ``submit_stream(fn) ->
+  SubmitStream`` — the *completion-order* contract every engine run
+  dispatches chunks through: work is submitted incrementally and drained
+  as it settles, a work-item failure is delivered in its future and
+  never cancels unrelated futures, and ``close()`` cancels whatever has
+  not started.  The engine's one dispatch loop decides what a failure
+  means (fail-fast, retry, or defer to a speculative sibling) and bounds
+  submission by the executor's ``capacity``.  A closed executor raises
+  :class:`RuntimeError` from ``map``, ``submit`` and ``submit_stream``.
 
 Four backends ship here, all registered in :data:`EXECUTOR_KINDS` and
 selectable via :func:`create_executor` (the CLI's ``--executor``/``--jobs``
 flags and :attr:`PipelineConfig.executor`):
 
-* :class:`SerialExecutor` (``"serial"``) — the reference backend; runs work
-  items in submission order on the calling thread.  The engine's equivalence
-  guarantee is stated against this backend.
+* :class:`SerialExecutor` (``"serial"``) — the reference backend; runs each
+  work item on the calling thread the moment it is submitted.  The
+  engine's equivalence guarantee is stated against this backend.
 * :class:`ThreadPoolExecutor` (``"thread"``) — fans work items out over one
   persistent pool of worker threads.  Overlaps model latency (network time
-  for real API clients); the pool is created lazily on first ``map`` and
+  for real API clients); the pool is created lazily on first use and
   lives until :meth:`~ThreadPoolExecutor.close`.
 * :class:`ProcessPoolExecutor` (``"process"``) — shards work across worker
   *processes*, scaling the CPU-bound parts (feature extraction, response
@@ -48,14 +42,12 @@ flags and :attr:`PipelineConfig.executor`):
   by threads.
 
 Every backend owns whatever pool/loop it creates: ``close()`` releases it
-(idempotent), the executors are context managers, and a closed executor
-raises :class:`RuntimeError` on further ``map`` calls.  The engine and the
+(idempotent) and the executors are context managers.  The engine and the
 CLI close their executor after a run.
 
-To add a new backend, implement ``map`` and ``submit`` and register a
-factory with :func:`register_executor` so ``--executor <kind>`` can select
-it; ``map_unordered`` comes for free from :class:`_BaseExecutor` once
-``submit`` exists.
+To add a new backend, subclass :class:`_BaseExecutor`, implement ``map``
+and ``submit`` (``submit_stream`` comes for free) and register a factory
+with :func:`register_executor` so ``--executor <kind>`` can select it.
 """
 
 from __future__ import annotations
@@ -64,7 +56,7 @@ import asyncio
 import concurrent.futures
 import inspect
 import threading
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = [
     "EXECUTOR_KINDS",
@@ -82,65 +74,17 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-class _CompletionStream:
-    """The iterator ``map_unordered`` hands out: futures in completion order.
-
-    A plain generator would be simpler, but closing a generator that was
-    never started runs none of its code — an abandoned stream would leak
-    every submitted future.  This object cancels all outstanding futures
-    on ``close()`` (and on garbage collection) no matter how far iteration
-    got, so "consumer walked away" always means "queued work is dropped".
-    """
-
-    def __init__(self, futures: Dict["concurrent.futures.Future[R]", int]) -> None:
-        self._futures = futures
-        self._completed = concurrent.futures.as_completed(futures)
-        self._closed = False
-
-    def __iter__(self) -> "Iterator[Tuple[int, R]]":
-        return self
-
-    def __next__(self) -> Tuple[int, R]:
-        if self._closed:
-            raise StopIteration
-        try:
-            future = next(self._completed)
-            return self._futures[future], future.result()
-        except BaseException:
-            # Exhaustion, a work-item exception or a cancelled future all
-            # end the stream; cancel whatever has not started yet.
-            self.close()
-            raise
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for future in self._futures:
-            future.cancel()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        self.close()
-
-
 class SubmitStream:
     """Completion-order drain over *dynamically* submitted work items.
 
-    ``map_unordered`` fixes the work list up front and fail-fasts: the
-    first work-item exception ends the stream and cancels every
-    outstanding future.  That is the right contract for an
-    all-or-nothing run, and exactly the wrong one for a retrying run —
-    one chunk's transient failure must not cancel unrelated chunks, and
-    a retried chunk needs to *re-enter* the stream after its backoff.
-
-    ``SubmitStream`` is the retry-friendly seam: work is submitted
-    incrementally (:meth:`submit` tags each item), :meth:`wait` blocks
-    until at least one in-flight future settles and hands back
-    ``(tag, future)`` pairs **without inspecting them** — a failed
-    future is just a completed future whose ``exception()`` is set, and
-    nothing else in flight is touched.  The caller owns the
-    retry/giveup decision.  Not thread-safe: one dispatcher thread
-    drives it, like the engine's other dispatch loops.
+    Work is submitted incrementally (:meth:`submit` tags each item), and
+    :meth:`wait` blocks until at least one in-flight future settles and
+    hands back ``(tag, future)`` pairs **without inspecting them** — a
+    failed future is just a completed future whose ``exception()`` is
+    set, and nothing else in flight is touched.  The caller owns every
+    decision: fail fast (:meth:`close` cancels the rest), retry (submit
+    the item again later) or let a duplicate decide.  Not thread-safe:
+    one dispatcher thread drives it, like the engine's dispatch loop.
     """
 
     def __init__(self, executor: "_BaseExecutor", fn: Callable[[T], R]) -> None:
@@ -174,11 +118,13 @@ class SubmitStream:
         )
         return [(self._inflight.pop(future), future) for future in done]
 
-    def close(self) -> None:
-        """Cancel whatever has not started yet (abandoned dispatch)."""
+    def close(self) -> List[object]:
+        """Cancel whatever has not started yet; return the abandoned tags."""
+        abandoned = list(self._inflight.values())
         for future in self._inflight:
             future.cancel()
         self._inflight.clear()
+        return abandoned
 
 
 class _BaseExecutor:
@@ -187,6 +133,8 @@ class _BaseExecutor:
     name = "base"
     #: True when ``map`` crosses a process boundary (fn/items must pickle).
     distributed = False
+    #: True when the engine should submit chunk *coroutines* here.
+    native_async = False
 
     def __init__(self) -> None:
         self._closed = False
@@ -195,11 +143,12 @@ class _BaseExecutor:
     def capacity(self) -> int:
         """How many work items this backend genuinely runs at once.
 
-        The engine's tail-latency control reads this: speculative
-        re-execution only duplicates a straggler when fewer than
-        ``capacity`` work items are in flight (a duplicate that queues
-        behind the straggler helps nobody), and the deadline planner
-        divides the predicted total work by it to estimate the makespan.
+        The engine's dispatch loop keeps at most ``capacity`` work items
+        in flight, so every one of them is genuinely running: speculative
+        re-execution only duplicates a straggler into a free slot (a
+        duplicate that queues behind the straggler helps nobody), and the
+        deadline planner divides the predicted total work by it to
+        estimate the makespan.
         Pool backends run ``jobs`` items; the async backend overrides this
         with its coroutine semaphore width.
         """
@@ -224,41 +173,14 @@ class _BaseExecutor:
     def submit_stream(self, fn: Callable[[T], R]) -> "SubmitStream":
         """A :class:`SubmitStream` over this backend (see its docstring).
 
-        The fault-tolerant dispatch contract: work items are submitted
-        incrementally, failures are delivered in their futures instead
-        of tearing the stream down, and unrelated futures are never
-        cancelled by one item's failure — which is what lets the
-        engine's retry dispatcher re-enter failed chunks after backoff
-        while the rest of the run keeps flowing.
+        Work items are submitted incrementally and failures are delivered
+        in their futures instead of tearing the stream down, so one
+        item's failure never cancels unrelated futures — which is what
+        lets the engine's dispatch loop re-enter a failed chunk after
+        backoff while the rest of the run keeps flowing.
         """
         self._check_open()
         return SubmitStream(self, fn)
-
-    def map_unordered(
-        self, fn: Callable[[T], R], items: Sequence[T]
-    ) -> Iterator[Tuple[int, R]]:
-        """Yield ``(index, result)`` pairs in completion order.
-
-        The default implementation submits every item up front and drains
-        the futures as they finish.  If a work item raises, or the consumer
-        closes (or drops) the iterator before exhausting it — even before
-        taking a single result — every outstanding future is cancelled
-        (futures already running run to completion in thread/process pools;
-        the async backend cancels in-flight coroutines too).
-        """
-        self._check_open()
-        items = list(items)
-        futures: Dict["concurrent.futures.Future[R]", int] = {}
-        try:
-            for index, item in enumerate(items):
-                futures[self.submit(fn, item)] = index
-        except BaseException:
-            # A mid-loop submit failure (broken pool, concurrent close)
-            # must not strand the futures already submitted.
-            for future in futures:
-                future.cancel()
-            raise
-        return _CompletionStream(futures)
 
     def __enter__(self):
         return self
@@ -268,7 +190,7 @@ class _BaseExecutor:
 
 
 class SerialExecutor(_BaseExecutor):
-    """Run every work item in order on the calling thread."""
+    """Run every work item on the calling thread, in submission order."""
 
     name = "serial"
     jobs = 1
@@ -287,23 +209,6 @@ class SerialExecutor(_BaseExecutor):
             future.set_exception(exc)
         return future
 
-    def map_unordered(
-        self, fn: Callable[[T], R], items: Sequence[T]
-    ) -> Iterator[Tuple[int, R]]:
-        """Lazy serial stream: completion order *is* submission order.
-
-        Abandoning the iterator early simply stops executing the remaining
-        items — the serial analogue of cancelling queued futures.
-        """
-        self._check_open()
-
-        def _stream() -> Iterator[Tuple[int, R]]:
-            for index, item in enumerate(items):
-                self._check_open()
-                yield index, fn(item)
-
-        return _stream()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "<SerialExecutor>"
 
@@ -311,7 +216,7 @@ class SerialExecutor(_BaseExecutor):
 class ThreadPoolExecutor(_BaseExecutor):
     """Fan work items out over one persistent pool of worker threads.
 
-    The pool is created lazily on the first ``map`` call and reused for
+    The pool is created lazily on first use and reused for
     every later one, so repeated engine runs (the CLI's ``repro all``, the
     benchmark harness) never pay thread start-up cost twice.  ``close()``
     shuts the pool down; use the executor as a context manager to scope it.
@@ -519,8 +424,8 @@ class AsyncExecutor(_BaseExecutor):
 
         Native coroutine functions are bounded by a semaphore of width
         ``max_inflight`` (the offload pool is bounded by its ``jobs``
-        workers), so ``map_unordered`` keeps the same concurrency limits
-        as ``map``.
+        workers), so streamed submission keeps the same concurrency
+        limits as ``map``.
         """
         self._check_open()
         loop = self._ensure_loop()

@@ -14,8 +14,8 @@ collections of plans:
   drivers.  Result slices are dispatched back to each plan's reducer.
   Because the combined run flows through the engine's cost-model
   scheduling, the slowest (model, strategy) groups of the *whole*
-  evaluation are dispatched first (LPT) and merged in completion order
-  (``dispatch="dynamic"``), regardless of which table contributed them —
+  evaluation are dispatched first (LPT) and merged in completion order,
+  regardless of which table contributed them —
   the scheduler supplies the global workload, the engine the global order.
 * :func:`run_plans_sequential` — the reference path: one ``engine.run`` per
   plan, in order, exactly like calling the five drivers one after another.

@@ -73,14 +73,13 @@ class TestCLI:
             main(["table2", "--executor", "quantum"])
 
     def test_dispatch_modes_same_table(self, capsys):
-        """--dispatch ordered/--no-lpt/--no-adaptive-batching select the
-        reference scheduling path; the table rows must not change."""
+        """--no-lpt/--no-adaptive-batching select the plan-order,
+        static-chunk reference schedule; the table rows must not change."""
         assert main(["table2", "--no-stats"]) == 0
         dynamic = capsys.readouterr().out
         assert main(
             [
                 "table2",
-                "--dispatch", "ordered",
                 "--no-lpt",
                 "--no-adaptive-batching",
                 "--jobs", "4",
@@ -93,8 +92,13 @@ class TestCLI:
         ]
 
     def test_unknown_dispatch_rejected(self):
+        """There is one dispatch loop: the old mode flag is an error."""
         with pytest.raises(SystemExit):
-            main(["table2", "--dispatch", "sideways"])
+            main(["table2", "--dispatch", "ordered"])
+
+    def test_unknown_snapshot_transport_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["table2", "--snapshot-transport", "sideways"])
 
     def test_slowest_groups_printed_with_stats(self, capsys):
         assert main(["table2", "--jobs", "2"]) == 0

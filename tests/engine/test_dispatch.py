@@ -1,12 +1,13 @@
-"""Dynamic dispatch, cost-model scheduling and broadcast-once cache shipping.
+"""The dispatch loop, cost-model scheduling and broadcast-once cache shipping.
 
 Three contracts are pinned here:
 
 * the executors' completion-order contract — ``submit`` /
-  ``map_unordered`` semantics, including cancellation and close behaviour;
-* the engine's dispatch equivalence — dynamic completion-order merging,
-  LPT ordering and adaptive chunk sizing never change results, only wall
-  time;
+  ``submit_stream`` semantics on every backend, including cancellation
+  and close behaviour, and the engine loop's bounded submission;
+* the engine's dispatch equivalence — completion-order merging on every
+  backend, LPT ordering and adaptive chunk sizing never change results,
+  only wall time;
 * the process-backend snapshot broadcast — the cache crosses the parent
   boundary O(entries) per **run**, not per chunk.
 """
@@ -43,84 +44,111 @@ def _square(x):
     return x * x
 
 
-class TestMapUnordered:
-    @pytest.mark.parametrize(
-        "make_executor",
-        [
-            pytest.param(lambda: SerialExecutor(), id="serial"),
-            pytest.param(lambda: ThreadPoolExecutor(jobs=4), id="thread"),
-            pytest.param(lambda: ProcessPoolExecutor(jobs=2), id="process"),
-            pytest.param(lambda: AsyncExecutor(jobs=4), id="async"),
-        ],
-    )
-    def test_yields_every_index_exactly_once(self, make_executor):
+def _sleepy(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _boom_on_zero(x):
+    if x == 0:
+        raise ValueError("bad item")
+    return x * x
+
+
+BACKENDS = [
+    pytest.param(lambda jobs: SerialExecutor(), id="serial"),
+    pytest.param(lambda jobs: ThreadPoolExecutor(jobs=jobs), id="thread"),
+    pytest.param(lambda jobs: ProcessPoolExecutor(jobs=jobs), id="process"),
+    pytest.param(lambda jobs: AsyncExecutor(jobs=jobs), id="async"),
+]
+
+
+def _drain(stream, timeout_s=30.0):
+    """Every settled ``(tag, future)`` pair until the stream is empty."""
+    settled = []
+    deadline = time.monotonic() + timeout_s
+    while stream.inflight and time.monotonic() < deadline:
+        settled.extend(stream.wait(0.05))
+    return settled
+
+
+class TestSubmitStreamContract:
+    @pytest.mark.parametrize("make_executor", BACKENDS)
+    def test_every_tag_settles_exactly_once(self, make_executor):
         items = list(range(20))
-        with make_executor() as executor:
-            pairs = list(executor.map_unordered(_square, items))
-        assert sorted(index for index, _ in pairs) == items
-        assert all(result == index * index for index, result in pairs)
+        with make_executor(4) as executor:
+            stream = executor.submit_stream(_square)
+            for item in items:
+                stream.submit(item, tag=item)
+            settled = _drain(stream)
+        assert sorted(tag for tag, _ in settled) == items
+        assert all(future.result() == tag * tag for tag, future in settled)
 
-    def test_empty_items(self):
+    def test_wait_on_empty_stream_returns_nothing(self):
         with ThreadPoolExecutor(jobs=2) as pool:
-            assert list(pool.map_unordered(_square, [])) == []
+            stream = pool.submit_stream(_square)
+            assert stream.inflight == 0
+            assert stream.wait(0.01) == []
+            assert stream.close() == []
 
-    def test_thread_pool_yields_in_completion_order(self):
+    def test_thread_pool_settles_in_completion_order(self):
         """A fast item submitted after a slow one comes back first."""
-
-        def sleepy(seconds):
-            time.sleep(seconds)
-            return seconds
-
         with ThreadPoolExecutor(jobs=2) as pool:
-            first_index, _ = next(pool.map_unordered(sleepy, [0.2, 0.0]))
-        assert first_index == 1
+            stream = pool.submit_stream(_sleepy)
+            stream.submit(0.2, tag="slow")
+            stream.submit(0.0, tag="fast")
+            (first_tag, _), *_ = stream.wait(5.0)
+            stream.close()
+        assert first_tag == "fast"
 
-    def test_serial_streams_lazily_in_order(self):
-        calls = []
+    @pytest.mark.parametrize("make_executor", BACKENDS)
+    def test_close_cancels_unstarted_futures(self, make_executor):
+        with make_executor(1) as executor:
+            stream = executor.submit_stream(_sleepy)
+            futures = [stream.submit(0.05, tag=i) for i in range(6)]
+            abandoned = stream.close()
+            assert sorted(abandoned) == list(range(6))
+            assert stream.inflight == 0 and stream.wait(0.01) == []
+            if isinstance(executor, SerialExecutor):
+                # Serial runs each item on submit: nothing is ever queued.
+                assert all(f.done() and not f.cancelled() for f in futures)
+            else:
+                # One worker: queued items were cancelled instead of run.
+                assert any(f.cancelled() for f in futures)
 
-        def record(x):
-            calls.append(x)
-            return x
+    @pytest.mark.parametrize("make_executor", BACKENDS)
+    def test_one_failed_item_cancels_no_sibling(self, make_executor):
+        with make_executor(2) as executor:
+            stream = executor.submit_stream(_boom_on_zero)
+            for item in range(6):
+                stream.submit(item, tag=item)
+            settled = dict(_drain(stream))
+        assert sorted(settled) == list(range(6))
+        assert isinstance(settled[0].exception(), ValueError)
+        assert [settled[i].result() for i in range(1, 6)] == [1, 4, 9, 16, 25]
 
-        executor = SerialExecutor()
-        stream = executor.map_unordered(record, [1, 2, 3])
-        assert calls == []  # nothing runs until the stream is consumed
-        assert next(stream) == (0, 1)
-        assert calls == [1]
-        stream.close()
-        assert calls == [1]  # abandoning the stream stops execution
+    @pytest.mark.parametrize("make_executor", BACKENDS)
+    def test_loop_stays_within_capacity(self, make_executor, records, monkeypatch):
+        """The loop bounds submission by ``capacity``: on serial it never
+        runs a chunk before the previous one merged."""
+        from repro.engine.executors import SubmitStream
 
-    def test_exception_propagates_and_cancels_rest(self):
-        calls = []
+        ahead = []
+        original_submit = SubmitStream.submit
 
-        def boom(x):
-            calls.append(x)
-            time.sleep(0.02)
-            if x == 0:
-                raise RuntimeError("boom")
-            return x
+        def recording_submit(stream, item, tag):
+            ahead.append(stream.inflight)
+            return original_submit(stream, item, tag)
 
-        with ThreadPoolExecutor(jobs=1) as pool:
-            with pytest.raises(RuntimeError, match="boom"):
-                list(pool.map_unordered(boom, list(range(10))))
-        # The single worker ran the failing item (and possibly a successor
-        # that started before the cancellation landed); queued futures were
-        # cancelled instead of run.
-        assert len(calls) < 10
-
-    def test_abandoning_iterator_cancels_pending(self):
-        calls = []
-
-        def slow(x):
-            calls.append(x)
-            time.sleep(0.02)
-            return x
-
-        with ThreadPoolExecutor(jobs=1) as pool:
-            stream = pool.map_unordered(slow, list(range(10)))
-            next(stream)
-            stream.close()  # consumer walks away; queued futures cancelled
-        assert len(calls) < 10
+        monkeypatch.setattr(SubmitStream, "submit", recording_submit)
+        with make_executor(2) as executor:
+            engine = ExecutionEngine(executor=executor, batch_size=2)
+            store = engine.run(
+                build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
+            )
+        assert len(store) == len(records)
+        assert len(ahead) == len(records) // 2  # one submission per chunk
+        assert max(ahead) < executor.capacity
 
 
 class TestSubmit:
@@ -142,7 +170,7 @@ class TestSubmit:
                 with pytest.raises(ValueError, match="bad item"):
                     executor.submit(boom, 1).result(timeout=10)
 
-    def test_closed_executor_rejects_submit_and_map_unordered(self):
+    def test_closed_executor_rejects_submit_and_submit_stream(self):
         for executor in (
             SerialExecutor(),
             ThreadPoolExecutor(jobs=2),
@@ -153,7 +181,7 @@ class TestSubmit:
             with pytest.raises(RuntimeError):
                 executor.submit(_square, 1)
             with pytest.raises(RuntimeError):
-                executor.map_unordered(_square, [1, 2])
+                executor.submit_stream(_square)
 
     def test_async_submit_awaits_coroutine_functions(self):
         async def acc(x):
@@ -186,9 +214,10 @@ def _assert_no_leaked_tasks(pool, timeout_s: float = 2.0) -> None:
 
 
 class TestAsyncCancellation:
-    """The async-native contract: abandoning a stream or a raising coroutine
-    cancels queued *and* in-flight coroutines — no tasks leak onto the loop,
-    and the loop stays reusable for the next run."""
+    """The async-native contract: closing a stream — an abandoned run, or the
+    engine's fail-fast after a raising coroutine — cancels queued *and*
+    in-flight coroutines; no tasks leak onto the loop, and the loop stays
+    reusable for the next run."""
 
     def test_abandoned_iterator_cancels_queued_and_inflight(self):
         import asyncio
@@ -203,9 +232,11 @@ class TestAsyncCancellation:
             return x
 
         with AsyncExecutor(jobs=2, max_inflight=2) as pool:
-            stream = pool.map_unordered(item, list(range(10)))
-            index, result = next(stream)
-            assert (index, result) == (0, 0)
+            stream = pool.submit_stream(item)
+            for x in range(10):
+                stream.submit(x, tag=x)
+            settled = stream.wait(10.0)
+            assert [(tag, future.result()) for tag, future in settled] == [(0, 0)]
             stream.close()  # consumer walks away
             _assert_no_leaked_tasks(pool)
             # Queued coroutines beyond max_inflight never ran at all.
@@ -221,8 +252,14 @@ class TestAsyncCancellation:
             return x
 
         with AsyncExecutor(jobs=2, max_inflight=4) as pool:
+            stream = pool.submit_stream(boom)
+            for x in range(8):
+                stream.submit(x, tag=x)
+            (tag, future), = stream.wait(10.0)
+            assert tag == 0
             with pytest.raises(RuntimeError, match="boom"):
-                list(pool.map_unordered(boom, list(range(8))))
+                future.result()
+            stream.close()  # fail fast: the dispatcher cancels the rest
             _assert_no_leaked_tasks(pool)
 
             # The loop is reusable: a fresh stream on the same executor
@@ -231,8 +268,11 @@ class TestAsyncCancellation:
                 await asyncio.sleep(0)
                 return x * 2
 
-            pairs = sorted(pool.map_unordered(fine, [1, 2, 3]))
-            assert pairs == [(0, 2), (1, 4), (2, 6)]
+            stream = pool.submit_stream(fine)
+            for x in (1, 2, 3):
+                stream.submit(x, tag=x)
+            pairs = sorted((tag, future.result()) for tag, future in _drain(stream))
+            assert pairs == [(1, 2), (2, 4), (3, 6)]
 
     def test_ordered_map_cancels_siblings_on_error(self):
         """Blocking map: one raising coroutine must cancel the rest — an
@@ -264,7 +304,9 @@ class TestAsyncCancellation:
             return x
 
         with AsyncExecutor(jobs=2, max_inflight=1) as pool:
-            stream = pool.map_unordered(slow, list(range(5)))
+            stream = pool.submit_stream(slow)
+            for x in range(5):
+                stream.submit(x, tag=x)
             stream.close()  # nothing consumed: everything cancels
             _assert_no_leaked_tasks(pool)
 
@@ -316,20 +358,11 @@ class TestAsyncCancellation:
         ]
 
 
-class _MapOnlyExecutor:
-    """An executor predating the completion-order contract (map only)."""
-
-    name = "map-only"
-    distributed = False
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
 class TestEngineDispatch:
     def test_rejects_unknown_dispatch(self):
-        with pytest.raises(ValueError):
-            ExecutionEngine(dispatch="eventually")
+        """There is one dispatch loop: the old mode option is gone."""
+        with pytest.raises(TypeError):
+            ExecutionEngine(dispatch="ordered")
 
     @pytest.mark.parametrize("config_id,config", [
         ("thread", dict(jobs=4, batch_size=5)),
@@ -337,18 +370,19 @@ class TestEngineDispatch:
         ("process", dict(jobs=2, executor_kind="process", batch_size=5)),
     ])
     def test_dynamic_matches_ordered_responses(self, records, config_id, config):
-        """Same store, response for response, under both dispatch modes."""
+        """Completion-order dispatch on every pool backend returns the store
+        of the in-order serial reference, response for response."""
         model_name = "gpt-4"
-        with ExecutionEngine(dispatch="ordered", lpt=False, **config) as ordered_engine:
-            ordered = ordered_engine.run(
+        with ExecutionEngine(executor=SerialExecutor(), batch_size=5) as serial_engine:
+            reference = serial_engine.run(
                 build_requests(create_model(model_name), PromptStrategy.BP1, records)
             )
-        with ExecutionEngine(dispatch="dynamic", **config) as dynamic_engine:
-            dynamic = dynamic_engine.run(
+        with ExecutionEngine(**config) as engine:
+            store = engine.run(
                 build_requests(create_model(model_name), PromptStrategy.BP1, records)
             )
-        assert [(r.record_name, r.response) for r in dynamic] == [
-            (r.record_name, r.response) for r in ordered
+        assert [(r.record_name, r.response) for r in store] == [
+            (r.record_name, r.response) for r in reference
         ]
 
     def test_lpt_and_adaptive_keep_results_after_warmup(self, records):
@@ -374,16 +408,9 @@ class TestEngineDispatch:
                 assert fingerprint == reference
         assert len(cost_model) == 4  # every (model, strategy) group observed
 
-    def test_dynamic_falls_back_to_map_without_map_unordered(self, records):
-        engine = ExecutionEngine(executor=_MapOnlyExecutor(), dispatch="dynamic")
-        counts = engine.run_counts(
-            build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
-        )
-        assert counts.total == len(records)
-
     def test_results_preserve_request_order_under_dynamic(self, records):
         model = create_model("gpt-4")
-        with ExecutionEngine(jobs=4, batch_size=3, dispatch="dynamic") as engine:
+        with ExecutionEngine(jobs=4, batch_size=3) as engine:
             store = engine.run(build_requests(model, PromptStrategy.BP1, records))
         assert [r.record_name for r in store] == [r.name for r in records]
 
@@ -459,13 +486,9 @@ class _RecordingDistributedExecutor(SerialExecutor):
         super().__init__()
         self.payloads = []
 
-    def map(self, fn, items):
-        self.payloads.extend(items)
-        return super().map(fn, items)
-
-    def map_unordered(self, fn, items):
-        self.payloads.extend(items)
-        return super().map_unordered(fn, items)
+    def submit(self, fn, item):
+        self.payloads.append(item)
+        return super().submit(fn, item)
 
 
 class TestBroadcastOnceSnapshot:

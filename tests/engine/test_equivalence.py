@@ -125,11 +125,12 @@ ENGINE_CONFIGS = [
         dict(jobs=4, executor_kind="async", max_inflight=12, cache=ResponseCache(), batch_size=3),
         id="async-native-cached-coalesced",
     ),
-    # The default configs above all run dispatch="dynamic"; pin the ordered
-    # reference path and the no-LPT/no-adaptive combinations explicitly so
-    # a default change can never silently drop coverage of either mode.
+    # The default configs above all schedule with LPT and adaptive chunk
+    # sizes; pin the plan-ordered static-chunk reference schedule and the
+    # no-LPT combination explicitly so a default change can never silently
+    # drop coverage of either.
     pytest.param(
-        dict(jobs=6, batch_size=7, dispatch="ordered", lpt=False, adaptive_batching=False),
+        dict(jobs=6, batch_size=7, lpt=False, adaptive_batching=False),
         id="thread-pool-ordered-static",
     ),
     pytest.param(
@@ -138,12 +139,13 @@ ENGINE_CONFIGS = [
             executor_kind="process",
             cache=ResponseCache(),
             batch_size=8,
-            dispatch="ordered",
+            lpt=False,
+            adaptive_batching=False,
         ),
         id="process-pool-ordered-cached",
     ),
     pytest.param(
-        dict(jobs=8, executor_kind="async", batch_size=7, dispatch="dynamic", lpt=False),
+        dict(jobs=8, executor_kind="async", batch_size=7, lpt=False),
         id="async-dynamic-no-lpt",
     ),
     # Full escalation through the detection cascade: no cheap-tier verdict
@@ -357,11 +359,17 @@ class TestSchedulerEquivalence:
                 id="async-native-high-inflight",
             ),
             pytest.param(
-                dict(jobs=6, batch_size=5, dispatch="ordered", lpt=False),
+                dict(jobs=6, batch_size=5, lpt=False, adaptive_batching=False),
                 id="thread-ordered-no-lpt",
             ),
             pytest.param(
-                dict(jobs=3, executor_kind="process", batch_size=8, dispatch="ordered"),
+                dict(
+                    jobs=3,
+                    executor_kind="process",
+                    batch_size=8,
+                    lpt=False,
+                    adaptive_batching=False,
+                ),
                 id="process-ordered",
             ),
         ],

@@ -25,6 +25,7 @@ What is pinned here:
 """
 
 import asyncio
+import json
 import threading
 import time
 
@@ -328,6 +329,21 @@ class TestChaosEquivalence:
         assert snap["failed_requests"] == 0
 
     def test_zero_retries_keeps_the_fail_fast_contract(self, records):
+        self.assert_fails_fast(records, dict(jobs=1))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(dict(jobs=3, executor_kind="thread"), id="thread"),
+            pytest.param(dict(jobs=2, executor_kind="process"), id="process"),
+            pytest.param(dict(jobs=4, executor_kind="async"), id="async"),
+        ],
+    )
+    def test_zero_retries_fails_fast_on_pools(self, records, config):
+        self.assert_fails_fast(records, config)
+
+    @staticmethod
+    def assert_fails_fast(records, config):
         reset_chaos_attempts()
         model = ChaosAdapter(
             create_model("gpt-4"),
@@ -336,7 +352,7 @@ class TestChaosEquivalence:
             salt="fail-fast",
         )
         requests = build_requests(model, PromptStrategy.BP1, records, scoring="detection")
-        with ExecutionEngine(jobs=1, batch_size=8) as engine:
+        with ExecutionEngine(batch_size=8, **config) as engine:
             with pytest.raises(TransientModelError):
                 engine.run_counts(requests)
 
@@ -518,6 +534,67 @@ class TestJournalResume:
         assert counting.calls == 30 - journaled
         assert [r.response for r in store.results] == [
             r.response for r in first_store.results
+        ]
+
+    def test_resume_reports_the_model_that_answered_a_rerouted_chunk(
+        self, tmp_path, records
+    ):
+        """A breaker reroute answers with the cascade tier; the resumed
+        result must name that tier too, not the request's own model."""
+        path = tmp_path / "run.journal"
+
+        def run():
+            requests = build_requests(
+                PermanentlyDownModel(), PromptStrategy.BP1, records[:12], scoring="detection"
+            )
+            with ExecutionEngine(
+                jobs=2,
+                batch_size=3,
+                retries=1,
+                retry_base_ms=1.0,
+                breaker_threshold=1,
+                breaker_cooldown_s=300.0,
+                cascade=CascadePolicy.from_spec("static", escalate_below=1.0),
+                journal=str(path),
+            ) as engine:
+                return engine.run(requests).results
+
+        live = run()
+        rerouted = [r for r in live if not r.failed and r.model != "permanently-down"]
+        assert rerouted and {r.model for r in rerouted} == {"tier:static"}
+        resumed = run()
+        # Every journaled (non-failed) answer replays bit-identically,
+        # model included.
+        assert [
+            (r.model, r.response, r.prediction, r.confidence)
+            for live_result, r in zip(live, resumed)
+            if not live_result.failed
+        ] == [
+            (r.model, r.response, r.prediction, r.confidence) for r in live if not r.failed
+        ]
+
+    def test_journal_lines_without_a_model_replay_under_the_request_model(
+        self, tmp_path, records
+    ):
+        path = tmp_path / "run.journal"
+        slice_ = records[:5]
+        first_store, _ = self.first_run(path, slice_)
+        # A journal written before the model field existed.
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        stripped = [lines[0]]
+        for line in lines[1:]:
+            payload = json.loads(line)
+            for entry in payload["entries"].values():
+                del entry["model"]
+            stripped.append(json.dumps(payload) + "\n")
+        path.write_text("".join(stripped), encoding="utf-8")
+
+        poisoned = PoisonedModel(create_model("gpt-4"))
+        requests = build_requests(poisoned, PromptStrategy.BP1, slice_, scoring="detection")
+        with ExecutionEngine(jobs=1, batch_size=5, journal=str(path)) as engine:
+            store = engine.run(requests)
+        assert [(r.model, r.response) for r in store.results] == [
+            (r.model, r.response) for r in first_store.results
         ]
 
     def test_failed_results_are_not_journaled(self, tmp_path, records):

@@ -10,6 +10,9 @@ Pinned contracts:
 * the deadline planner sheds work *explicitly*: every shed request comes
   back as a ``skipped`` :class:`RunResult` in its original position, and
   telemetry reports predicted-vs-actual makespan;
+* speculation composes with retries: under injected faults a chunk is
+  retried only once its last running copy failed, and each chunk still
+  merges exactly once;
 * :class:`FlakyTailAdapter` is deterministic in everything but the
   first-attempt hang it simulates.
 """
@@ -21,7 +24,7 @@ import pytest
 
 from repro.engine import ExecutionEngine, SHED_RESPONSE, build_requests
 from repro.eval.experiments import default_subset
-from repro.llm.adapters import FlakyTailAdapter
+from repro.llm.adapters import ChaosAdapter, FlakyTailAdapter, reset_chaos_attempts
 from repro.llm.zoo import create_model
 from repro.prompting.strategy import PromptStrategy
 
@@ -275,6 +278,63 @@ class TestSpeculationFailureIsolation:
         # still running after the last original was submitted.
         snap = engine.telemetry.snapshot()
         assert snap["speculation_launched"] <= 2  # jobs slots at the tail
+
+
+class TestSpeculationComposesWithRetries:
+    # The coalescer's flush bisection would absorb the async faults before
+    # the engine's retry policy sees them; without it both backends retry.
+    @pytest.mark.parametrize(
+        "executor_kind,options",
+        [
+            pytest.param("thread", {}, id="thread"),
+            pytest.param("async", dict(coalesce=False), id="async"),
+        ],
+    )
+    def test_chaos_with_speculation_and_retries_matches_fault_free(
+        self, records, executor_kind, options
+    ):
+        clean = ExecutionEngine().run_counts(
+            build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
+        )
+        reset_chaos_attempts()
+        model = ChaosAdapter(
+            _flaky_model(),
+            transient_ratio=0.2,
+            malformed_ratio=0.1,
+            fail_attempts=1,
+            salt=f"speculate-retry-{executor_kind}",
+        )
+        engine = ExecutionEngine(
+            jobs=8,
+            executor_kind=executor_kind,
+            batch_size=4,
+            speculate=True,
+            speculate_after=1.2,
+            retries=3,
+            retry_base_ms=1.0,
+            **options,
+        )
+        engine.speculation_poll_s = 0.002
+        warm_observations = 3
+        _warm_cost_model(engine, model, n=warm_observations)
+        with engine:
+            counts = engine.run_counts(build_requests(model, PromptStrategy.BP1, records))
+        snap = engine.telemetry.snapshot()
+        assert counts == clean
+        assert snap["failed_requests"] == 0
+        assert snap["retries"] >= 1
+        assert snap["speculation_launched"] >= 1
+        assert (
+            snap["speculation_won"] + snap["speculation_wasted"]
+            <= snap["speculation_launched"]
+        )
+        # Exactly one merge per chunk: one cost observation each.
+        group = next(
+            g
+            for g in engine.cost_model.snapshot()
+            if g["model"] == model.cache_identity and g["strategy"] == "BP1"
+        )
+        assert group["observations"] == warm_observations + len(records) // 4
 
 
 class TestDeadlineScheduling:
