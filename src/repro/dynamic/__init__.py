@@ -12,9 +12,10 @@ Modules
 ``events``
     The access/synchronization event records produced by the interpreter.
 ``interpreter``
-    An AST interpreter for the corpus language subset with OpenMP semantics
+    An interpreter for the corpus language subset with OpenMP semantics
     (parallel regions, worksharing loops, sections, single/master, critical,
-    atomic, ordered, locks, tasks and taskwait).
+    atomic, ordered, locks, tasks and taskwait).  Each run lowers the AST to
+    Python closures once, then executes them.
 ``detector``
     The happens-before/lockset analysis over a recorded trace.
 ``inspector``

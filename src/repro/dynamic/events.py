@@ -10,7 +10,7 @@ lineage).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
 __all__ = ["AccessEvent", "TaskInfo", "ExecutionTrace"]
 
@@ -26,9 +26,13 @@ class TaskInfo:
     ordered_after: FrozenSet[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class AccessEvent:
+class AccessEvent(NamedTuple):
     """One dynamic access to shared storage.
+
+    A ``NamedTuple``: the interpreter builds one per shared access, and a
+    tuple is several times cheaper to build than a frozen dataclass.
+    Construction by keyword, attribute access, equality and hashing work as
+    for any immutable record.
 
     Attributes
     ----------

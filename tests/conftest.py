@@ -1,9 +1,14 @@
 """Hypothesis profiles for the test suite.
 
 The default profile keeps tier-1 fast.  ``REPRO_HYPOTHESIS_PROFILE=ci``
-selects a larger example budget for the dedicated front-end CI step (the
-C front end in ``tests/cparse`` and the comment trimmer's differential
-test in ``tests/dataset``).
+selects a larger example budget for the dedicated CI steps:
+
+* the C front-end step (the C front end in ``tests/cparse`` and the comment
+  trimmer's differential test in ``tests/dataset``);
+* the dynamic Inspector step (``tests/dynamic``), where the profile also
+  widens the interpreter differential from a sample to every corpus source
+  and re-checks the Inspector golden digest against the reference
+  interpreter.
 """
 
 import os

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.corpus import CorpusConfig, CorpusRegistry
-from repro.dynamic import InspectorLikeDetector, Interpreter, detect_races
+from repro.dynamic import AccessEvent, InspectorLikeDetector, Interpreter, detect_races
+from repro.dynamic.events import TaskInfo
 
 
 def analyze(src, num_threads=2, schedule="static"):
@@ -295,3 +296,32 @@ class TestInspectorOnCorpus:
         result = detector.analyze_benchmark(bench)
         assert result.has_race
         assert "a" in result.variables()
+
+
+class TestAccessEvent:
+    """The event record keeps its fields, keyword construction, defaults,
+    value equality, hashing and ``operation`` (it is a NamedTuple)."""
+
+    FIELDS = dict(address="a[1]", variable="a", expr_text="a[i]", line=3, col=5,
+                  is_write=True, thread=1, region=1, epoch=0, step=4)
+
+    def test_keyword_construction_and_defaults(self):
+        event = AccessEvent(**self.FIELDS)
+        assert event.address == "a[1]" and event.step == 4
+        assert (event.locks, event.atomic, event.ordered, event.task, event.task_seq) == (
+            frozenset(), False, False, None, 0)
+        assert event.operation == "W"
+        assert AccessEvent(**{**self.FIELDS, "is_write": False}).operation == "R"
+
+    def test_equality_and_hashing_by_value(self):
+        task = TaskInfo(task_id=1, creator_thread=0, creation_step=2, seq=0)
+        first = AccessEvent(**self.FIELDS, locks=frozenset({"l"}), task=task)
+        second = AccessEvent(**self.FIELDS, locks=frozenset({"l"}), task=task)
+        assert first == second and hash(first) == hash(second)
+        assert first != AccessEvent(**{**self.FIELDS, "step": 5}, locks=frozenset({"l"}), task=task)
+        assert len({first, second}) == 1
+
+    def test_immutable(self):
+        event = AccessEvent(**self.FIELDS)
+        with pytest.raises(AttributeError):
+            event.step = 9

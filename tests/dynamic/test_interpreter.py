@@ -1,5 +1,7 @@
 """Tests for the OpenMP interpreter: value semantics and event recording."""
 
+import gc
+
 import pytest
 
 from repro.dynamic import Interpreter, InterpreterError, InterpreterLimits
@@ -298,3 +300,50 @@ class TestParallelSemantics:
             """
         )
         assert interp._memory["seen"] == 9
+
+
+class TestLoweredProgramLifetime:
+    """The closures a run lowers hold no reference cycle, so the lowered
+    program, its trace and its memory are freed by reference counting as
+    soon as the caller drops them, not at the next garbage collection."""
+
+    SOURCE = """
+    int twice(int n) {
+      if (n <= 0) return 0;
+      return 2 + twice(n - 1);
+    }
+    int main() {
+      int i, x = 0;
+      int a[8];
+    #pragma omp parallel for
+      for (i = 0; i < 8; i++)
+        a[i] = twice(i);
+    #pragma omp parallel
+      {
+    #pragma omp critical
+        x = x + 1;
+      }
+      return 0;
+    }
+    """
+
+    def _assert_no_cycles(self, run):
+        gc.collect()
+        gc.disable()
+        try:
+            interp = Interpreter(num_threads=2)
+            trace = run(interp)
+            del interp, trace
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_successful_run(self):
+        self._assert_no_cycles(lambda interp: interp.run_source(self.SOURCE))
+
+    def test_failed_run(self):
+        def run(interp):
+            with pytest.raises(InterpreterError):
+                interp.run_source(self.SOURCE.replace("a[i] = twice(i);", "a[i - 1] = twice(i);"))
+
+        self._assert_no_cycles(run)
